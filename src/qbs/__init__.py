@@ -3,20 +3,13 @@
 from .aqp import (
     BootstrapReport,
     Condition,
-    DrawnSample,
     QuerySpec,
     TableData,
     assess,
     assess_with_replications,
-    bootstrap_se,
-    confidence_interval,
-    draw_sample,
-    estimate,
     load_query,
     load_table,
     parse_query,
-    tuple_results,
-    z_percentile,
 )
 from .bootstrap import (
     MODE_ORACLE,
@@ -26,55 +19,13 @@ from .bootstrap import (
     Replication,
     ReplicationSet,
     SampleResults,
-    build_parallel_replication_circuit,
-    classical_bootstrap_oracle,
     replicate,
-    run_replication_sequential,
 )
-from .circuit import (
-    Circuit,
-    GateKind,
-    GateOp,
-    append_gate,
-    bitstring_of,
-    build_circuit,
-    ccx,
-    controlled_x,
-    cx,
-    h,
-    mcx,
-    qubit_capacity,
-    register_bits,
-    register_value,
-    x,
-)
-from .counter import (
-    CounterSpec,
-    build_counter,
-    build_inverse_counter,
-    build_ripple_adder,
-    decode_counter,
-    min_counter_width,
-)
+from .circuit import Circuit, GateKind, GateOp
+from .counter import CounterSpec, build_counter, build_ripple_adder
 from .errors import CapacityError, PipelineError, QbsError
-from .qram import (
-    BitDataArray,
-    ValueDataArray,
-    build_bit_qram,
-    build_qsa,
-    build_value_qram,
-    build_value_qsa,
-    load_data_array,
-)
-from .sim import (
-    CountsTable,
-    StateVector,
-    apply_gate,
-    draw_basis_index,
-    measure_once,
-    sample,
-    simulate,
-)
+from .qram import BitDataArray, ValueDataArray, build_qsa, build_value_qsa
+from .sim import StateVector, sample, simulate
 
 __version__ = "0.1.0"
 
@@ -85,8 +36,6 @@ __all__ = [
     "Circuit",
     "Condition",
     "CounterSpec",
-    "CountsTable",
-    "DrawnSample",
     "GateKind",
     "GateOp",
     "MODES",
@@ -102,46 +51,16 @@ __all__ = [
     "StateVector",
     "TableData",
     "ValueDataArray",
-    "append_gate",
-    "apply_gate",
     "assess",
     "assess_with_replications",
-    "bitstring_of",
-    "bootstrap_se",
-    "build_bit_qram",
-    "build_circuit",
     "build_counter",
-    "build_inverse_counter",
-    "build_parallel_replication_circuit",
     "build_qsa",
     "build_ripple_adder",
-    "build_value_qram",
     "build_value_qsa",
-    "ccx",
-    "classical_bootstrap_oracle",
-    "confidence_interval",
-    "controlled_x",
-    "cx",
-    "decode_counter",
-    "draw_basis_index",
-    "draw_sample",
-    "estimate",
-    "h",
-    "load_data_array",
     "load_query",
     "load_table",
-    "mcx",
-    "measure_once",
-    "min_counter_width",
     "parse_query",
-    "qubit_capacity",
-    "register_bits",
-    "register_value",
     "replicate",
-    "run_replication_sequential",
     "sample",
     "simulate",
-    "tuple_results",
-    "x",
-    "z_percentile",
 ]

@@ -20,12 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Circuit, bitstring_of, qubit_capacity, register_bits
-from .counter import CounterSpec, build_counter, build_ripple_adder, decode_counter
+from .circuit import Circuit, qubit_capacity, register_value
+from .counter import CounterSpec, build_counter, build_ripple_adder
 from .errors import CapacityError, QbsError
 from .qram import BitDataArray, ValueDataArray, build_qsa, build_value_qsa
 from .rng import derive_seed, fresh_seed, make_rng
-from .sim import StateVector, draw_basis_index, simulate
+from .sim import draw_basis_index, outcome_probabilities, simulate
 
 MODE_SEQUENTIAL = "quantum_sequential"
 MODE_PARALLEL = "quantum_parallel"
@@ -156,15 +156,6 @@ def _require_power_of_two(n: int) -> int:
     return n.bit_length() - 1
 
 
-def _draw(probs: np.ndarray, rng: np.random.Generator) -> int:
-    return int(rng.choice(probs.size, p=probs))
-
-
-def _normalized_probs(state: StateVector) -> np.ndarray:
-    probs = state.probabilities()
-    return probs / probs.sum()
-
-
 class _SequentialEngine:
     """Precomputed circuits for repeated sequential replications.
 
@@ -178,8 +169,7 @@ class _SequentialEngine:
         _require_power_of_two(self.n)
         if sample.aggregate == "COUNT":
             qsa = build_qsa(BitDataArray(sample.values))
-            self.spec = CounterSpec.for_controls(self.n)
-            self.totaler = build_counter(self.spec)
+            self.totaler = build_counter(CounterSpec.for_controls(self.n))
             self.acc_width = None
         else:
             width = max(1, max(sample.values).bit_length())
@@ -188,48 +178,43 @@ class _SequentialEngine:
             # width + log2(n) bits always hold the full resample total
             self.acc_width = width + _require_power_of_two(self.n)
             self.totaler = build_ripple_adder(self.acc_width)
-            self.spec = None
         self.data_register = qsa.register("data")
-        self.qsa_probs = _normalized_probs(simulate(qsa))
+        self.qsa_probs = outcome_probabilities(simulate(qsa))
+
+    def _measure(self, prep: Circuit, seed: int) -> int:
+        """Run the totaling circuit after ``prep`` and measure it once."""
+        prep.extend(self.totaler, range(self.totaler.num_qubits))
+        state = simulate(prep)
+        return draw_basis_index(outcome_probabilities(state), make_rng(seed))
 
     def _draw_results(self, seed: int) -> list[int]:
-        drawn = []
-        for k in range(self.n):
-            rng = make_rng(derive_seed(seed, k))
-            index = _draw(self.qsa_probs, rng)
-            drawn.append(
-                (index >> self.data_register.start)
-                & ((1 << len(self.data_register)) - 1)
+        return [
+            register_value(
+                draw_basis_index(self.qsa_probs, make_rng(derive_seed(seed, k))),
+                self.data_register,
             )
-        return drawn
+            for k in range(self.n)
+        ]
 
     def _total_bits(self, bits: list[int], seed: int) -> int:
-        spec = self.spec
-        prep = Circuit(spec.num_qubits)
+        prep = Circuit(self.totaler.num_qubits)
         for qubit, bit in enumerate(bits):
             if bit:
                 prep.x(qubit)
-        prep.extend(self.totaler, range(spec.num_qubits))
-        state = simulate(prep)
-        index = draw_basis_index(state, make_rng(seed))
-        full = bitstring_of(index, spec.num_qubits)
-        counter_bits = register_bits(full, range(spec.p, spec.p + spec.q))
-        return decode_counter(counter_bits, spec.q)
+        return register_value(self._measure(prep, seed), self.totaler.register("counter"))
 
     def _add_on_basis(self, addend: int, acc: int, seed: int) -> int:
         w = self.acc_width
-        prep = Circuit(2 * w + 2)
+        prep = Circuit(self.totaler.num_qubits)
         for k in range(w):
             if (addend >> k) & 1:
                 prep.x(k)
             if (acc >> k) & 1:
                 prep.x(w + k)
-        prep.extend(self.totaler, range(2 * w + 2))
-        state = simulate(prep)
-        index = draw_basis_index(state, make_rng(seed))
-        if (index >> (2 * w + 1)) & 1:
+        index = self._measure(prep, seed)
+        if register_value(index, self.totaler.register("carry_out")):
             raise QbsError("accumulator overflow; widths were sized wrong")
-        return (index >> w) & ((1 << w) - 1)
+        return register_value(index, self.totaler.register("b"))
 
     def run(self, seed: int) -> Replication:
         drawn = self._draw_results(seed)
@@ -240,13 +225,6 @@ class _SequentialEngine:
             for step, value in enumerate(drawn):
                 raw = self._add_on_basis(value, raw, derive_seed(seed, self.n + step))
         return Replication(raw, _estimate_from_raw(self.sample, raw))
-
-
-def run_replication_sequential(sample: SampleResults, seed: int | None = None) -> Replication:
-    """One bootstrap replication via repeated resampler runs plus the totaling circuit."""
-    if seed is None:
-        seed = fresh_seed()
-    return _SequentialEngine(sample).run(seed)
 
 
 def build_parallel_replication_circuit(sample: SampleResults) -> Circuit:
@@ -307,14 +285,12 @@ def replicate(
     # parallel: the circuit and its pure state are fixed, so simulate once
     # and draw one counter measurement per replication
     circuit = build_parallel_replication_circuit(sample)
-    probs = _normalized_probs(simulate(circuit))
+    probs = outcome_probabilities(simulate(circuit))
     counter_range = circuit.register("counter")
     reps = []
     for j in range(B):
-        rng = make_rng(derive_seed(seed, j))
-        index = _draw(probs, rng)
-        full = bitstring_of(index, circuit.num_qubits)
-        raw = decode_counter(register_bits(full, counter_range), len(counter_range))
+        index = draw_basis_index(probs, make_rng(derive_seed(seed, j)))
+        raw = register_value(index, counter_range)
         reps.append(Replication(raw, _estimate_from_raw(sample, raw)))
     return ReplicationSet(tuple(reps), mode, seed, sample.f)
 

@@ -52,13 +52,14 @@ _CONTROL_ARITY = {GateKind.H: 0, GateKind.X: 0, GateKind.CX: 1, GateKind.CCX: 2}
 
 @dataclass(frozen=True)
 class GateOp:
-    """One gate application: kind, control qubits, target qubit."""
+    """One gate application: kind (a GateKind or its string value), control qubits, target qubit."""
 
     kind: GateKind
     controls: tuple[int, ...]
     target: int
 
     def __post_init__(self):
+        object.__setattr__(self, "kind", GateKind(self.kind))
         object.__setattr__(self, "controls", tuple(self.controls))
         fixed = _CONTROL_ARITY.get(self.kind)
         if fixed is not None and len(self.controls) != fixed:
@@ -210,16 +211,6 @@ class Circuit:
 
     def __repr__(self) -> str:
         return f"Circuit(num_qubits={self.num_qubits}, gates={len(self._gates)})"
-
-
-def build_circuit(num_qubits: int) -> Circuit:
-    """Empty circuit; all qubits implicitly |0>."""
-    return Circuit(num_qubits)
-
-
-def append_gate(circuit: Circuit, gate: GateOp) -> Circuit:
-    """Append ``gate`` at the end of ``circuit`` and return it."""
-    return circuit.append(gate)
 
 
 def bitstring_of(index: int, num_qubits: int) -> str:

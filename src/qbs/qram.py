@@ -79,28 +79,20 @@ def _address_zeros(address: int, width: int) -> list[int]:
     return [q for q in range(width) if not (address >> q) & 1]
 
 
+def _lookup_registers(data: ValueDataArray) -> dict[str, range]:
+    a = data.address_width
+    registers = {"address": range(0, a)} if a else {}
+    registers["data"] = range(a, a + data.width)
+    return registers
+
+
 def build_bit_qram(data: BitDataArray) -> Circuit:
     """Lookup fragment over ``address_width`` address qubits plus one data qubit.
 
     On every basis address |i> with the data qubit cleared, the fragment
-    yields |i>|bits[i]>.
+    yields |i>|bits[i]>. A bit array is a width-1 value array.
     """
-    a = data.address_width
-    circuit = Circuit(
-        a + 1,
-        registers={"address": range(0, a), "data": range(a, a + 1)} if a else {"data": range(0, 1)},
-    )
-    address_qubits = tuple(range(a))
-    for address, bit in enumerate(data.bits):
-        if not bit:
-            continue
-        zeros = _address_zeros(address, a)
-        for q in zeros:
-            circuit.x(q)
-        circuit.append(controlled_x(address_qubits, a))
-        for q in zeros:
-            circuit.x(q)
-    return circuit
+    return build_value_qram(ValueDataArray(data.bits, 1))
 
 
 def build_value_qram(data: ValueDataArray) -> Circuit:
@@ -111,10 +103,7 @@ def build_value_qram(data: ValueDataArray) -> Circuit:
     """
     a = data.address_width
     w = data.width
-    registers = {"data": range(a, a + w)}
-    if a:
-        registers["address"] = range(0, a)
-    circuit = Circuit(a + w, registers=registers)
+    circuit = Circuit(a + w, registers=_lookup_registers(data))
     address_qubits = tuple(range(a))
     for address, value in enumerate(data.values):
         if value == 0:
@@ -137,24 +126,13 @@ def build_qsa(data: BitDataArray) -> Circuit:
     bit, and repeated runs repeat addresses freely, which is exactly
     sampling with replacement from the array.
     """
-    a = data.address_width
-    qsa = Circuit(
-        a + 1,
-        registers={"address": range(0, a), "data": range(a, a + 1)} if a else {"data": range(0, 1)},
-    )
-    for q in range(a):
-        qsa.h(q)
-    qsa.extend(build_bit_qram(data), range(a + 1))
-    return qsa
+    return build_value_qsa(ValueDataArray(data.bits, 1))
 
 
 def build_value_qsa(data: ValueDataArray) -> Circuit:
     """Hadamards over the address register followed by the value lookup."""
     a = data.address_width
-    registers = {"data": range(a, a + data.width)}
-    if a:
-        registers["address"] = range(0, a)
-    qsa = Circuit(a + data.width, registers=registers)
+    qsa = Circuit(a + data.width, registers=_lookup_registers(data))
     for q in range(a):
         qsa.h(q)
     qsa.extend(build_value_qram(data), range(a + data.width))

@@ -8,7 +8,6 @@ all-controls-on subspace, so no gate matrix is ever expanded.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -36,11 +35,6 @@ class StateVector:
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
-
-    def to_json(self) -> str:
-        """Debug dump as a JSON array of [re, im] pairs."""
-        pairs = [[float(z.real), float(z.imag)] for z in self.amplitudes]
-        return json.dumps(pairs)
 
 
 @dataclass(frozen=True)
@@ -115,7 +109,11 @@ def simulate(circuit: Circuit) -> StateVector:
     return StateVector(state, n)
 
 
-def _outcome_probabilities(state: StateVector) -> np.ndarray:
+def outcome_probabilities(state: StateVector) -> np.ndarray:
+    """Measurement weights |amplitude|^2, scaled to sum to exactly 1.
+
+    Compute this once per statevector and reuse it for every draw.
+    """
     probs = state.probabilities()
     # The statevector itself is never renormalized; dividing the sampling
     # weights by their sum (1 within NORM_DRIFT_LIMIT) only satisfies the
@@ -123,9 +121,9 @@ def _outcome_probabilities(state: StateVector) -> np.ndarray:
     return probs / probs.sum()
 
 
-def draw_basis_index(state: StateVector, rng: np.random.Generator) -> int:
-    """One measurement outcome: a basis index drawn from |amplitude|^2."""
-    return int(rng.choice(state.amplitudes.size, p=_outcome_probabilities(state)))
+def draw_basis_index(probs: np.ndarray, rng: np.random.Generator) -> int:
+    """One measurement outcome: a basis index drawn from ``probs``."""
+    return int(rng.choice(probs.size, p=probs))
 
 
 def sample(circuit: Circuit, shots: int, seed: int | None = None) -> CountsTable:
@@ -140,7 +138,7 @@ def sample(circuit: Circuit, shots: int, seed: int | None = None) -> CountsTable
         seed = fresh_seed()
     state = simulate(circuit)
     rng = make_rng(seed)
-    per_state = rng.multinomial(shots, _outcome_probabilities(state))
+    per_state = rng.multinomial(shots, outcome_probabilities(state))
     entries = {
         bitstring_of(i, circuit.num_qubits): int(c)
         for i, c in enumerate(per_state)
@@ -153,5 +151,5 @@ def measure_once(circuit: Circuit, seed: int | None = None) -> str:
     """Single-shot measurement, returned as an MSB-first bitstring."""
     if seed is None:
         seed = fresh_seed()
-    state = simulate(circuit)
-    return bitstring_of(draw_basis_index(state, make_rng(seed)), circuit.num_qubits)
+    probs = outcome_probabilities(simulate(circuit))
+    return bitstring_of(draw_basis_index(probs, make_rng(seed)), circuit.num_qubits)

@@ -15,7 +15,6 @@ from qbs.bootstrap import (
     build_parallel_replication_circuit,
     classical_bootstrap_oracle,
     replicate,
-    run_replication_sequential,
 )
 from qbs.errors import CapacityError
 from qbs.stats import chi_square_gof, chi_square_two_sample, raw_count_histogram
@@ -53,21 +52,20 @@ class TestSampleResults:
 class TestSequentialReplication:
     def test_all_ones_always_full_count(self):
         sample = SampleResults((1, 1, 1, 1), population_size=8)
-        for seed in range(5):
-            rep = run_replication_sequential(sample, seed)
+        for rep in replicate(sample, 5, MODE_SEQUENTIAL, seed=0).replications:
             assert rep.raw_count == 4
             assert rep.estimate == 8.0
 
     def test_all_zeros(self):
         sample = SampleResults((0, 0, 0, 0), population_size=8)
-        rep = run_replication_sequential(sample, seed=3)
-        assert rep.raw_count == 0
-        assert rep.estimate == 0.0
+        for rep in replicate(sample, 2, MODE_SEQUENTIAL, seed=3).replications:
+            assert rep.raw_count == 0
+            assert rep.estimate == 0.0
 
     def test_non_power_of_two_rejected(self):
         sample = SampleResults((0, 1, 1), population_size=6)
         with pytest.raises(ValueError, match="power-of-two"):
-            run_replication_sequential(sample, seed=0)
+            replicate(sample, 2, MODE_SEQUENTIAL, seed=0)
 
     def test_binomial_distribution(self, alternating_sample):
         replications = replicate(alternating_sample, 2000, MODE_SEQUENTIAL, seed=2)
@@ -76,6 +74,31 @@ class TestSequentialReplication:
         _, p = chi_square_gof(histogram, binom_pmf_vector(8, 0.5))
         assert p > 0.001
         assert histogram[4] / 2000 == pytest.approx(0.273, abs=0.06)
+
+
+class TestSeedStream:
+    """Exact replications for fixed master seeds.
+
+    Any change to how seeds are derived, how probabilities are normalised,
+    how draws are made or how registers are read shows up here first.
+    """
+
+    @pytest.mark.parametrize(
+        "sample, B, mode, seed, expected",
+        [
+            (SampleResults((1, 0, 1, 1, 0, 0, 1, 0), population_size=32),
+             8, MODE_SEQUENTIAL, 11, [6, 2, 3, 3, 3, 3, 3, 6]),
+            (SampleResults((3, 0, 5, 2), population_size=16, aggregate="SUM"),
+             8, MODE_SEQUENTIAL, 12, [7, 13, 7, 8, 7, 11, 8, 7]),
+            (SampleResults((1, 0, 1, 1), population_size=16),
+             16, MODE_PARALLEL, 13, [3, 2, 4, 4, 2, 4, 4, 4, 4, 3, 3, 4, 4, 3, 1, 4]),
+            (SampleResults((1, 0, 1, 1, 0, 0, 1, 0), population_size=32),
+             8, MODE_ORACLE, 14, [5, 4, 5, 4, 4, 3, 5, 6]),
+        ],
+        ids=["sequential-count", "sequential-sum", "parallel-count", "oracle"],
+    )
+    def test_golden_raw_counts(self, sample, B, mode, seed, expected):
+        assert replicate(sample, B, mode, seed).raw_counts().tolist() == expected
 
 
 class TestParallelReplication:

@@ -5,9 +5,7 @@ from qbs.circuit import (
     Circuit,
     GateKind,
     GateOp,
-    append_gate,
     bitstring_of,
-    build_circuit,
     controlled_x,
     cx,
     h,
@@ -22,21 +20,21 @@ from qbs.errors import CapacityError
 
 class TestBuildCircuit:
     def test_empty_construction(self):
-        circ = build_circuit(3)
+        circ = Circuit(3)
         assert circ.num_qubits == 3
         assert circ.gates == ()
 
     def test_zero_qubits_rejected(self):
         with pytest.raises(ValueError):
-            build_circuit(0)
+            Circuit(0)
 
     def test_twelve_qubits_fit(self):
         # 8 control plus 4 counter qubits is the largest circuit used here
-        assert build_circuit(12).num_qubits == 12
+        assert Circuit(12).num_qubits == 12
 
     def test_capacity_error_names_the_limit(self):
         with pytest.raises(CapacityError, match="26"):
-            build_circuit(27)
+            Circuit(27)
 
 
 class TestCapacityEnvVar:
@@ -44,7 +42,7 @@ class TestCapacityEnvVar:
         monkeypatch.setenv(circuit_mod.CAPACITY_ENV_VAR, "5")
         assert qubit_capacity() == 5
         with pytest.raises(CapacityError):
-            build_circuit(6)
+            Circuit(6)
 
     def test_env_cannot_raise_cap(self, monkeypatch):
         monkeypatch.setenv(circuit_mod.CAPACITY_ENV_VAR, "40")
@@ -78,6 +76,13 @@ class TestGateOp:
         with pytest.raises(ValueError):
             GateOp(GateKind.MCX, (), 0)
 
+    def test_string_kind_is_converted_and_checked(self):
+        assert GateOp("H", (), 0).kind is GateKind.H
+        with pytest.raises(ValueError):
+            GateOp("MCX", (), 0)
+        with pytest.raises(ValueError):
+            GateOp("Z", (), 0)
+
     def test_self_control_rejected(self):
         with pytest.raises(ValueError):
             cx(0, 0)
@@ -101,17 +106,17 @@ class TestGateOp:
 
 class TestAppend:
     def test_append_preserves_order(self):
-        circ = build_circuit(1)
-        append_gate(circ, h(0))
+        circ = Circuit(1)
+        circ.append(h(0))
         assert len(circ) == 1
         circ.x(0).h(0)
         assert [g.kind for g in circ.gates] == [GateKind.H, GateKind.X, GateKind.H]
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
-            build_circuit(2).x(2)
+            Circuit(2).x(2)
         with pytest.raises(ValueError):
-            build_circuit(3).mcx([0, 3], 1)
+            Circuit(3).mcx([0, 3], 1)
 
 
 class TestRegisters:

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -8,11 +7,13 @@ from hypothesis import strategies as st
 
 from qbs.circuit import Circuit, GateKind, GateOp, bitstring_of
 from qbs.errors import CapacityError, QbsError
+from qbs.rng import make_rng
 from qbs.sim import (
     CountsTable,
     apply_gate,
     draw_basis_index,
     measure_once,
+    outcome_probabilities,
     sample,
     simulate,
 )
@@ -88,9 +89,10 @@ class TestSimulate:
         with pytest.raises(ValueError):
             state.amplitudes[0] = 0
 
-    def test_json_dump_pairs(self):
-        state = simulate(Circuit(1).x(0))
-        assert json.loads(state.to_json()) == [[0.0, 0.0], [1.0, 0.0]]
+    def test_string_gate_kind_simulates_as_that_gate(self):
+        state = simulate(Circuit(1).append(GateOp("H", (), 0)))
+        expected = 1 / math.sqrt(2)
+        assert np.allclose(state.amplitudes, [expected, expected], atol=1e-12)
 
     @given(circuits())
     def test_matches_dense_oracle(self, circ):
@@ -173,6 +175,19 @@ class TestSample:
             CountsTable(shots=1, entries={"2": 1}, num_qubits=1)
         with pytest.raises(ValueError):
             CountsTable(shots=1, entries={"00": 1}, num_qubits=1)
+
+
+class TestDrawBasisIndex:
+    def test_basis_state_yields_its_own_index(self):
+        probs = outcome_probabilities(simulate(Circuit(3).x(0).x(2)))
+        for seed in range(20):
+            assert draw_basis_index(probs, make_rng(seed)) == 0b101
+
+    def test_equals_rng_choice_for_a_fixed_seed(self):
+        probs = outcome_probabilities(simulate(Circuit(3).h(0).h(1).cx(1, 2)))
+        for seed in range(20):
+            expected = int(make_rng(seed).choice(probs.size, p=probs))
+            assert draw_basis_index(probs, make_rng(seed)) == expected
 
 
 class TestMeasureOnce:
