@@ -3,9 +3,10 @@
 A replication resamples the tuple results with replacement and totals
 them. Three interchangeable engines produce the same distribution:
 
-* ``quantum_sequential``: run the resampler circuit once per draw, then
+* ``quantum_sequential``: measure the resampler circuit once per draw, then
   total the measured bits with the counter circuit (values go through the
-  ripple-carry adder instead).
+  ripple-carry adder instead). The totaler receives classical bits, so it
+  runs on a basis index (``sim.run_basis``), not on a statevector.
 * ``quantum_parallel``: one wide circuit holding every resampler block
   plus the counter; a single measurement of the counter register is one
   replication. Qubit count grows fast, so this engine is for small n.
@@ -25,7 +26,7 @@ from .counter import CounterSpec, build_counter, build_ripple_adder
 from .errors import CapacityError, QbsError
 from .qram import BitDataArray, ValueDataArray, build_qsa, build_value_qsa
 from .rng import derive_seed, fresh_seed, make_rng
-from .sim import draw_basis_index, outcome_probabilities, simulate
+from .sim import draw_basis_index, outcome_probabilities, run_basis, simulate
 
 MODE_SEQUENTIAL = "quantum_sequential"
 MODE_PARALLEL = "quantum_parallel"
@@ -160,7 +161,8 @@ class _SequentialEngine:
     """Precomputed circuits for repeated sequential replications.
 
     The resampler statevector is fixed across runs, so it is simulated once
-    and each run only draws fresh measurements from it.
+    and each run only draws fresh measurements from it. The drawn values
+    are classical, so the totaler runs on their basis index.
     """
 
     def __init__(self, sample: SampleResults):
@@ -181,12 +183,6 @@ class _SequentialEngine:
         self.data_register = qsa.register("data")
         self.qsa_probs = outcome_probabilities(simulate(qsa))
 
-    def _measure(self, prep: Circuit, seed: int) -> int:
-        """Run the totaling circuit after ``prep`` and measure it once."""
-        prep.extend(self.totaler, range(self.totaler.num_qubits))
-        state = simulate(prep)
-        return draw_basis_index(outcome_probabilities(state), make_rng(seed))
-
     def _draw_results(self, seed: int) -> list[int]:
         return [
             register_value(
@@ -196,22 +192,12 @@ class _SequentialEngine:
             for k in range(self.n)
         ]
 
-    def _total_bits(self, bits: list[int], seed: int) -> int:
-        prep = Circuit(self.totaler.num_qubits)
-        for qubit, bit in enumerate(bits):
-            if bit:
-                prep.x(qubit)
-        return register_value(self._measure(prep, seed), self.totaler.register("counter"))
+    def _total_bits(self, bits: list[int]) -> int:
+        index = sum(bit << qubit for qubit, bit in enumerate(bits))
+        return register_value(run_basis(self.totaler, index), self.totaler.register("counter"))
 
-    def _add_on_basis(self, addend: int, acc: int, seed: int) -> int:
-        w = self.acc_width
-        prep = Circuit(self.totaler.num_qubits)
-        for k in range(w):
-            if (addend >> k) & 1:
-                prep.x(k)
-            if (acc >> k) & 1:
-                prep.x(w + k)
-        index = self._measure(prep, seed)
+    def _add_on_basis(self, addend: int, acc: int) -> int:
+        index = run_basis(self.totaler, addend | acc << self.acc_width)
         if register_value(index, self.totaler.register("carry_out")):
             raise QbsError("accumulator overflow; widths were sized wrong")
         return register_value(index, self.totaler.register("b"))
@@ -219,11 +205,11 @@ class _SequentialEngine:
     def run(self, seed: int) -> Replication:
         drawn = self._draw_results(seed)
         if self.sample.aggregate == "COUNT":
-            raw = self._total_bits(drawn, derive_seed(seed, self.n))
+            raw = self._total_bits(drawn)
         else:
             raw = 0
-            for step, value in enumerate(drawn):
-                raw = self._add_on_basis(value, raw, derive_seed(seed, self.n + step))
+            for value in drawn:
+                raw = self._add_on_basis(value, raw)
         return Replication(raw, _estimate_from_raw(self.sample, raw))
 
 

@@ -119,7 +119,8 @@ class Circuit:
 
     Builders populate a circuit and then leave it alone; nothing in the
     package mutates a circuit after it is handed out, so a shared instance
-    is safe to simulate concurrently with different seeds.
+    is safe to simulate concurrently with different seeds. Any width may be
+    built; the qubit capacity applies only when a circuit is simulated.
     """
 
     def __init__(
@@ -129,13 +130,6 @@ class Circuit:
     ):
         if num_qubits < 1:
             raise ValueError(f"num_qubits must be >= 1, got {num_qubits}")
-        capacity = qubit_capacity()
-        if num_qubits > capacity:
-            raise CapacityError(
-                f"{num_qubits} qubits exceeds the simulator capacity of "
-                f"{capacity} (hard cap {HARD_QUBIT_CAP}; "
-                f"{CAPACITY_ENV_VAR} can only lower it)"
-            )
         self.num_qubits = num_qubits
         self._gates: list[GateOp] = []
         self.register_labels: dict[str, range] = {}
@@ -223,11 +217,3 @@ def bitstring_of(index: int, num_qubits: int) -> str:
 def register_value(index: int, qubits: range) -> int:
     """Integer held by a contiguous register within a basis index."""
     return (index >> qubits.start) & ((1 << len(qubits)) - 1)
-
-
-def register_bits(bitstring: str, qubits: range) -> str:
-    """MSB-first substring of a full bitstring for a contiguous register."""
-    n = len(bitstring)
-    if qubits.stop > n:
-        raise ValueError(f"register {qubits} outside a {n}-qubit bitstring")
-    return bitstring[n - qubits.stop : n - qubits.start]

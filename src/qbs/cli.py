@@ -26,7 +26,7 @@ from .bootstrap import (
     MODE_SEQUENTIAL,
     ReplicationSet,
 )
-from .circuit import register_bits, register_value
+from .circuit import register_value
 from .counter import CounterSpec, measure_counter
 from .errors import QbsError
 from .qram import ValueDataArray, build_qsa, load_data_array
@@ -205,8 +205,8 @@ def cmd_counter_test(args: argparse.Namespace) -> int:
     full, value = measure_counter(spec, pattern, seed)
     expected = bin(pattern).count("1")
     verified = value == expected
-    control_bits = register_bits(full, range(0, p))
-    counter_bits = register_bits(full, range(p, spec.num_qubits))
+    control_bits = format(register_value(int(full, 2), range(0, p)), f"0{p}b")
+    counter_bits = format(value, f"0{spec.q}b")
     payload = {
         "command": "counter-test",
         "version": __version__,

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .circuit import Circuit, controlled_x, register_bits
-from .sim import measure_once
+from .circuit import Circuit, bitstring_of, controlled_x, register_value
+from .sim import run_basis
 
 
 def min_counter_width(num_controls: int) -> int:
@@ -74,38 +74,21 @@ def build_inverse_counter(spec: CounterSpec) -> Circuit:
     return circuit
 
 
-def decode_counter(bits: str, width: int) -> int:
-    """Value of a measured counter register given MSB-first.
-
-    The rightmost character is the lowest counter qubit, so plain base-2
-    evaluation applies.
-    """
-    if len(bits) != width:
-        raise ValueError(f"expected {width} counter bits, got {len(bits)}")
-    if set(bits) - {"0", "1"}:
-        raise ValueError(f"counter bits must be 0/1, got {bits!r}")
-    return int(bits, 2)
-
-
 def measure_counter(
     spec: CounterSpec, control_pattern: int, seed: int | None = None
 ) -> tuple[str, int]:
     """Run the counter on a classical control pattern and measure.
 
-    Bit k of ``control_pattern`` loads control qubit k. Returns the full
-    measured bitstring (MSB-first, counter register leftmost) and the
-    decoded count.
+    Bit k of ``control_pattern`` loads control qubit k. A basis input
+    measures deterministically, so the result does not depend on ``seed``.
+    Returns the full measured bitstring (MSB-first, counter register
+    leftmost) and the counter value.
     """
     if not 0 <= control_pattern < (1 << spec.p):
         raise ValueError(f"control pattern needs {spec.p} bits")
-    circuit = Circuit(spec.num_qubits, registers=_counter_registers(spec))
-    for q in range(spec.p):
-        if (control_pattern >> q) & 1:
-            circuit.x(q)
-    circuit.extend(build_counter(spec), range(spec.num_qubits))
-    full = measure_once(circuit, seed)
-    counter_bits = register_bits(full, range(spec.p, spec.num_qubits))
-    return full, decode_counter(counter_bits, spec.q)
+    index = run_basis(build_counter(spec), control_pattern)
+    counter = register_value(index, range(spec.p, spec.num_qubits))
+    return bitstring_of(index, spec.num_qubits), counter
 
 
 def build_ripple_adder(width: int) -> Circuit:

@@ -20,7 +20,7 @@ from .circuit import Circuit, GateKind, GateOp, register_value
 from .counter import CounterSpec, build_ripple_adder, measure_counter
 from .qram import BitDataArray, build_bit_qram
 from .rng import make_rng
-from .sim import apply_gate, simulate
+from .sim import apply_gate, run_basis
 from .stats import chi_square_two_sample, raw_count_histogram
 
 _SUITE_SEED = 0x5EEDED
@@ -83,12 +83,7 @@ def check_qram_lookup() -> tuple[str, bool, str]:
             bits = tuple(int(b) for b in rng.integers(0, 2, size=1 << a))
             fragment = build_bit_qram(BitDataArray(bits))
             for address in range(1 << a):
-                prep = Circuit(a + 1)
-                for q in range(a):
-                    if (address >> q) & 1:
-                        prep.x(q)
-                prep.extend(fragment, range(a + 1))
-                index = int(np.argmax(simulate(prep).probabilities()))
+                index = run_basis(fragment, address)
                 if register_value(index, range(a, a + 1)) != bits[address]:
                     return "qram lookup", False, f"wrong bit at address {address} of {bits}"
                 if register_value(index, range(0, a)) != address:
@@ -120,14 +115,7 @@ def check_adder() -> tuple[str, bool, str]:
         total = fragment.num_qubits
         for a in range(1 << width):
             for b in range(1 << width):
-                prep = Circuit(total)
-                for k in range(width):
-                    if (a >> k) & 1:
-                        prep.x(k)
-                    if (b >> k) & 1:
-                        prep.x(width + k)
-                prep.extend(fragment, range(total))
-                index = int(np.argmax(simulate(prep).probabilities()))
+                index = run_basis(fragment, a | b << width)
                 got_sum = register_value(index, range(width, 2 * width))
                 got_carry = register_value(index, range(2 * width + 1, total))
                 got_a = register_value(index, range(0, width))

@@ -1,9 +1,13 @@
-"""Exact statevector simulation with shot-based measurement sampling.
+"""Exact statevector simulation with shot-based measurement sampling, and
+basis-index evaluation of reversible circuits.
 
 Gates act in place on a ``(2,)*n`` view of the amplitude array; axis k of
 that view holds qubit ``n-1-k`` (qubit 0 is the least significant bit of
 the basis index). Controlled NOTs swap the two target slices inside the
 all-controls-on subspace, so no gate matrix is ever expanded.
+
+A circuit of X/CX/CCX/MCX gates maps each basis state to one basis state,
+so ``run_basis`` evaluates it on a basis index alone, with no statevector.
 """
 
 from __future__ import annotations
@@ -13,7 +17,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Circuit, GateKind, GateOp, bitstring_of, qubit_capacity
+from .circuit import (
+    CAPACITY_ENV_VAR,
+    HARD_QUBIT_CAP,
+    Circuit,
+    GateKind,
+    GateOp,
+    bitstring_of,
+    qubit_capacity,
+)
 from .errors import CapacityError, QbsError
 from .rng import fresh_seed, make_rng
 
@@ -32,9 +44,6 @@ class StateVector:
 
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
 
 
 @dataclass(frozen=True)
@@ -96,7 +105,8 @@ def simulate(circuit: Circuit) -> StateVector:
     capacity = qubit_capacity()
     if n > capacity:
         raise CapacityError(
-            f"simulating {n} qubits exceeds the capacity of {capacity}"
+            f"simulating {n} qubits exceeds the capacity of {capacity} "
+            f"(hard cap {HARD_QUBIT_CAP}; {CAPACITY_ENV_VAR} can only lower it)"
         )
     state = np.zeros(1 << n, dtype=np.complex128)
     state[0] = 1.0
@@ -107,6 +117,27 @@ def simulate(circuit: Circuit) -> StateVector:
         raise QbsError(f"statevector norm drifted by {drift:.3e}")
     state.setflags(write=False)
     return StateVector(state, n)
+
+
+def run_basis(circuit: Circuit, index: int) -> int:
+    """Run a reversible circuit on the basis state ``index``; return the final index.
+
+    Each X/CX/CCX/MCX gate flips its target bit when every control bit is
+    set, so the cost is one integer operation per gate whatever the width.
+    A circuit holding ``H`` raises ``ValueError``: superpositions need
+    ``simulate``.
+    """
+    if not 0 <= index < (1 << circuit.num_qubits):
+        raise ValueError(f"index {index} out of range for {circuit.num_qubits} qubits")
+    for gate in circuit.gates:
+        if gate.kind is GateKind.H:
+            raise ValueError("run_basis takes X/CX/CCX/MCX gates only; simulate circuits with H")
+        mask = 0
+        for control in gate.controls:
+            mask |= 1 << control
+        if index & mask == mask:
+            index ^= 1 << gate.target
+    return index
 
 
 def outcome_probabilities(state: StateVector) -> np.ndarray:
@@ -145,11 +176,3 @@ def sample(circuit: Circuit, shots: int, seed: int | None = None) -> CountsTable
         if c
     }
     return CountsTable(shots=shots, entries=entries, num_qubits=circuit.num_qubits)
-
-
-def measure_once(circuit: Circuit, seed: int | None = None) -> str:
-    """Single-shot measurement, returned as an MSB-first bitstring."""
-    if seed is None:
-        seed = fresh_seed()
-    probs = outcome_probabilities(simulate(circuit))
-    return bitstring_of(draw_basis_index(probs, make_rng(seed)), circuit.num_qubits)

@@ -67,6 +67,13 @@ class TestSequentialReplication:
         with pytest.raises(ValueError, match="power-of-two"):
             replicate(sample, 2, MODE_SEQUENTIAL, seed=0)
 
+    @pytest.mark.parametrize("n", [32, 64])
+    def test_wide_counter_beyond_simulation_cap(self, n):
+        # the 38- and 71-qubit counters run on a basis index, never simulated
+        sample = SampleResults(tuple(k % 2 for k in range(n)), population_size=2 * n)
+        raws = replicate(sample, 4, MODE_SEQUENTIAL, seed=5).raw_counts()
+        assert all(0 <= raw <= n for raw in raws)
+
     def test_binomial_distribution(self, alternating_sample):
         replications = replicate(alternating_sample, 2000, MODE_SEQUENTIAL, seed=2)
         histogram = raw_count_histogram(replications.raw_counts(), 8)

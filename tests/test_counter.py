@@ -9,7 +9,6 @@ from qbs.counter import (
     build_counter,
     build_inverse_counter,
     build_ripple_adder,
-    decode_counter,
     measure_counter,
     min_counter_width,
 )
@@ -86,30 +85,6 @@ class TestCounter:
         for pattern in range(8):
             index = run_on_pattern(build_counter(spec), pattern)
             assert register_value(index, range(3, 7)) == popcount(pattern)
-
-
-class TestDecode:
-    def test_documented_value(self):
-        assert decode_counter("0101", 4) == 5
-
-    def test_zero(self):
-        assert decode_counter("0000", 4) == 0
-
-    def test_all_four_bit_strings(self):
-        for value in range(16):
-            bits = format(value, "04b")
-            # positional base-2 oracle
-            assert decode_counter(bits, 4) == sum(
-                int(bit) * 2**k for k, bit in enumerate(reversed(bits))
-            )
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError, match="4"):
-            decode_counter("010", 4)
-
-    def test_non_binary(self):
-        with pytest.raises(ValueError):
-            decode_counter("01a1", 4)
 
 
 class TestInverseCounter:

@@ -12,14 +12,14 @@ from qbs.sim import (
     CountsTable,
     apply_gate,
     draw_basis_index,
-    measure_once,
     outcome_probabilities,
+    run_basis,
     sample,
     simulate,
 )
 from qbs.stats import chi_square_gof
 
-from helpers import oracle_statevector
+from helpers import basis_prep, oracle_statevector
 
 
 # --- strategies -----------------------------------------------------------
@@ -183,6 +183,11 @@ class TestDrawBasisIndex:
         for seed in range(20):
             assert draw_basis_index(probs, make_rng(seed)) == 0b101
 
+    def test_hadamard_is_fair_across_seeds(self):
+        probs = outcome_probabilities(simulate(Circuit(1).h(0)))
+        ones = sum(draw_basis_index(probs, make_rng(s)) == 1 for s in range(10000))
+        assert 0.47 <= ones / 10000 <= 0.53
+
     def test_equals_rng_choice_for_a_fixed_seed(self):
         probs = outcome_probabilities(simulate(Circuit(3).h(0).h(1).cx(1, 2)))
         for seed in range(20):
@@ -190,22 +195,32 @@ class TestDrawBasisIndex:
             assert draw_basis_index(probs, make_rng(seed)) == expected
 
 
-class TestMeasureOnce:
+class TestRunBasis:
     def test_deterministic_circuit(self):
-        assert measure_once(Circuit(1).x(0), seed=5) == "1"
-
-    def test_superposition_support(self):
-        assert measure_once(Circuit(1).h(0), seed=12) in {"0", "1"}
-
-    def test_hadamard_is_fair_across_seeds(self):
-        circ = Circuit(1).h(0)
-        ones = sum(measure_once(circ, seed=s) == "1" for s in range(10000))
-        assert 0.47 <= ones / 10000 <= 0.53
+        assert run_basis(Circuit(1).x(0), 0) == 1
 
     def test_bitstring_orientation(self):
         # qubit 0 set, qubit 2 clear: MSB-first string reads 001
-        circ = Circuit(3).x(0)
-        assert measure_once(circ, seed=0) == "001"
+        assert bitstring_of(run_basis(Circuit(3).x(0), 0), 3) == "001"
+
+    @given(circuits(max_qubits=10, max_gates=30, classical_only=True), st.integers(0, 1023))
+    def test_matches_statevector_on_basis_inputs(self, circ, pattern):
+        n = circ.num_qubits
+        pattern %= 1 << n
+        prep = basis_prep(n, pattern)
+        prep.extend(circ, range(n))
+        probs = simulate(prep).probabilities()
+        expected = int(np.argmax(probs))
+        assert np.isclose(probs[expected], 1.0, atol=1e-12)
+        assert run_basis(circ, pattern) == expected
+
+    def test_rejects_hadamard(self):
+        with pytest.raises(ValueError, match="H"):
+            run_basis(Circuit(2).x(0).h(1), 0)
+
+    def test_index_out_of_range_rejected(self):
+        with pytest.raises(ValueError):
+            run_basis(Circuit(2).x(0), 4)
 
 
 class TestNormGuard:
