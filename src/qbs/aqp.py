@@ -357,26 +357,6 @@ class BootstrapReport:
             "mode": self.mode,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "BootstrapReport":
-        return cls(
-            point_estimate=float(payload["point_estimate"]),
-            se_b=float(payload["se_b"]),
-            alpha=float(payload["alpha"]),
-            z=float(payload["z"]),
-            ci_lower=float(payload["ci"][0]),
-            ci_upper=float(payload["ci"][1]),
-            B=int(payload["B"]),
-            f=float(payload["f"]),
-            n=int(payload["n"]),
-            N=int(payload["N"]),
-            seed=int(payload["seed"]),
-            mode=str(payload["mode"]),
-        )
-
 
 @contextmanager
 def _stage(name: str) -> Iterator[None]:

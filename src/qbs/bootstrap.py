@@ -12,11 +12,16 @@ them. Three interchangeable engines produce the same distribution:
   replication. Qubit count grows fast, so this engine is for small n.
 * ``classical_oracle``: plain seeded resampling, the reference the
   quantum engines are validated against.
+
+Each quantum engine simulates its fixed circuit once and keeps the
+cumulative outcome weights (``sim.outcome_cdf``); every measurement is one
+uniform from its own seeded generator looked up in that table. All three
+engines hand their raw totals to ``_replication_set``, which scales them
+into estimates.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +31,7 @@ from .counter import CounterSpec, build_counter, build_ripple_adder
 from .errors import CapacityError, QbsError
 from .qram import BitDataArray, ValueDataArray, build_qsa, build_value_qsa
 from .rng import derive_seed, fresh_seed, make_rng
-from .sim import draw_basis_index, outcome_probabilities, run_basis, simulate
+from .sim import draw_basis_index, outcome_cdf, run_basis, simulate
 
 MODE_SEQUENTIAL = "quantum_sequential"
 MODE_PARALLEL = "quantum_parallel"
@@ -117,36 +122,15 @@ class ReplicationSet:
     def estimates(self) -> np.ndarray:
         return np.array([r.estimate for r in self.replications], dtype=np.float64)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "seed": self.seed,
-            "B": self.B,
-            "f": self.sampling_fraction,
-            "replications": [
-                {"raw": r.raw_count, "estimate": r.estimate} for r in self.replications
-            ],
-        }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
-    @classmethod
-    def from_json_dict(cls, payload: dict) -> "ReplicationSet":
-        reps = tuple(
-            Replication(int(r["raw"]), float(r["estimate"]))
-            for r in payload["replications"]
-        )
-        got = len(reps)
-        if payload.get("B", got) != got:
-            raise ValueError(f"B={payload['B']} but {got} replications present")
-        return cls(reps, payload["mode"], int(payload["seed"]), float(payload["f"]))
-
-
-def _estimate_from_raw(sample: SampleResults, raw: int) -> float:
-    if sample.aggregate == "AVG":
-        return raw / sample.n
-    return raw / sample.f
+def _replication_set(
+    sample: SampleResults, raws: list[int], mode: str, seed: int
+) -> ReplicationSet:
+    """Pair each raw resample total with its scaled estimate."""
+    # AVG divides the total by n; COUNT and SUM scale it up by 1/f
+    divisor = sample.n if sample.aggregate == "AVG" else sample.f
+    reps = tuple(Replication(raw, raw / divisor) for raw in raws)
+    return ReplicationSet(reps, mode, seed, sample.f)
 
 
 def _require_power_of_two(n: int) -> int:
@@ -181,12 +165,12 @@ class _SequentialEngine:
             self.acc_width = width + _require_power_of_two(self.n)
             self.totaler = build_ripple_adder(self.acc_width)
         self.data_register = qsa.register("data")
-        self.qsa_probs = outcome_probabilities(simulate(qsa))
+        self.qsa_cdf = outcome_cdf(simulate(qsa))
 
     def _draw_results(self, seed: int) -> list[int]:
         return [
             register_value(
-                draw_basis_index(self.qsa_probs, make_rng(derive_seed(seed, k))),
+                draw_basis_index(self.qsa_cdf, make_rng(derive_seed(seed, k))),
                 self.data_register,
             )
             for k in range(self.n)
@@ -202,15 +186,15 @@ class _SequentialEngine:
             raise QbsError("accumulator overflow; widths were sized wrong")
         return register_value(index, self.totaler.register("b"))
 
-    def run(self, seed: int) -> Replication:
+    def run(self, seed: int) -> int:
+        """One replication's raw resample total."""
         drawn = self._draw_results(seed)
         if self.sample.aggregate == "COUNT":
-            raw = self._total_bits(drawn)
-        else:
-            raw = 0
-            for value in drawn:
-                raw = self._add_on_basis(value, raw)
-        return Replication(raw, _estimate_from_raw(self.sample, raw))
+            return self._total_bits(drawn)
+        raw = 0
+        for value in drawn:
+            raw = self._add_on_basis(value, raw)
+        return raw
 
 
 def build_parallel_replication_circuit(sample: SampleResults) -> Circuit:
@@ -266,19 +250,20 @@ def replicate(
         return classical_bootstrap_oracle(sample, B, seed)
     if mode == MODE_SEQUENTIAL:
         engine = _SequentialEngine(sample)
-        reps = tuple(engine.run(derive_seed(seed, j)) for j in range(B))
-        return ReplicationSet(reps, mode, seed, sample.f)
-    # parallel: the circuit and its pure state are fixed, so simulate once
-    # and draw one counter measurement per replication
-    circuit = build_parallel_replication_circuit(sample)
-    probs = outcome_probabilities(simulate(circuit))
-    counter_range = circuit.register("counter")
-    reps = []
-    for j in range(B):
-        index = draw_basis_index(probs, make_rng(derive_seed(seed, j)))
-        raw = register_value(index, counter_range)
-        reps.append(Replication(raw, _estimate_from_raw(sample, raw)))
-    return ReplicationSet(tuple(reps), mode, seed, sample.f)
+        raws = [engine.run(derive_seed(seed, j)) for j in range(B)]
+    else:
+        # parallel: the circuit and its pure state are fixed, so simulate
+        # once and draw one counter measurement per replication
+        circuit = build_parallel_replication_circuit(sample)
+        cdf = outcome_cdf(simulate(circuit))
+        counter_range = circuit.register("counter")
+        raws = [
+            register_value(
+                draw_basis_index(cdf, make_rng(derive_seed(seed, j))), counter_range
+            )
+            for j in range(B)
+        ]
+    return _replication_set(sample, raws, mode, seed)
 
 
 def classical_bootstrap_oracle(
@@ -293,7 +278,4 @@ def classical_bootstrap_oracle(
     values = np.asarray(sample.values, dtype=np.int64)
     picks = rng.integers(0, sample.n, size=(B, sample.n))
     raws = values[picks].sum(axis=1)
-    reps = tuple(
-        Replication(int(raw), _estimate_from_raw(sample, int(raw))) for raw in raws
-    )
-    return ReplicationSet(reps, MODE_ORACLE, seed, sample.f)
+    return _replication_set(sample, raws.tolist(), MODE_ORACLE, seed)

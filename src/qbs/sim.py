@@ -143,7 +143,8 @@ def run_basis(circuit: Circuit, index: int) -> int:
 def outcome_probabilities(state: StateVector) -> np.ndarray:
     """Measurement weights |amplitude|^2, scaled to sum to exactly 1.
 
-    Compute this once per statevector and reuse it for every draw.
+    ``sample`` passes them to ``Generator.multinomial``; ``outcome_cdf``
+    accumulates them for single draws.
     """
     probs = state.probabilities()
     # The statevector itself is never renormalized; dividing the sampling
@@ -152,9 +153,21 @@ def outcome_probabilities(state: StateVector) -> np.ndarray:
     return probs / probs.sum()
 
 
-def draw_basis_index(probs: np.ndarray, rng: np.random.Generator) -> int:
-    """One measurement outcome: a basis index drawn from ``probs``."""
-    return int(rng.choice(probs.size, p=probs))
+def outcome_cdf(state: StateVector) -> np.ndarray:
+    """Cumulative measurement weights, ending at exactly 1.
+
+    Built the way numpy's ``Generator.choice`` builds its table from
+    weights, so a draw from it reproduces ``choice`` bit for bit. Compute
+    it once per statevector and reuse it for every draw.
+    """
+    cdf = outcome_probabilities(state).cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+def draw_basis_index(cdf: np.ndarray, rng: np.random.Generator) -> int:
+    """One measurement outcome: the basis index ``cdf`` assigns to one uniform."""
+    return int(cdf.searchsorted(rng.random(), side="right"))
 
 
 def sample(circuit: Circuit, shots: int, seed: int | None = None) -> CountsTable:

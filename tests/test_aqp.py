@@ -7,7 +7,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qbs.aqp import (
-    BootstrapReport,
     Condition,
     QuerySpec,
     TableData,
@@ -326,7 +325,7 @@ class TestAssess:
         query = QuerySpec("COUNT", (Condition("flag", "=", 1),))
         first = assess(table, query, n=8, B=60, mode=MODE_ORACLE, seed=77)
         second = assess(table, query, n=8, B=60, mode=MODE_ORACLE, seed=77)
-        assert first.to_json() == second.to_json()
+        assert first.to_dict() == second.to_dict()
 
     def test_ci_coverage_over_master_seeds(self, make_flag_table):
         table = make_flag_table(10000, 5000, shuffle_seed=6)
@@ -350,12 +349,6 @@ class TestAssess:
         table = make_flag_table(8, 4)
         with pytest.raises(PipelineError, match="confidence_interval"):
             assess(table, QuerySpec("COUNT"), n=4, B=10, alpha=0.9, mode=MODE_ORACLE, seed=0)
-
-    def test_report_json_round_trip(self, make_flag_table):
-        table = make_flag_table(64, 16, shuffle_seed=2)
-        report = assess(table, QuerySpec("COUNT"), n=8, B=20, mode=MODE_ORACLE, seed=5)
-        parsed = BootstrapReport.from_dict(json.loads(report.to_json()))
-        assert parsed == report
 
     def test_quantum_and_oracle_se_agree(self, make_flag_table):
         table = make_flag_table(16, 8, shuffle_seed=4)

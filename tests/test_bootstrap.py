@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given
@@ -10,7 +8,6 @@ from qbs.bootstrap import (
     MODE_PARALLEL,
     MODE_SEQUENTIAL,
     Replication,
-    ReplicationSet,
     SampleResults,
     build_parallel_replication_circuit,
     classical_bootstrap_oracle,
@@ -252,24 +249,3 @@ class TestSumReplication:
         sample = SampleResults((0, 0), population_size=4, aggregate="SUM")
         replications = replicate(sample, 3, MODE_SEQUENTIAL, seed=18)
         assert all(r.raw_count == 0 for r in replications.replications)
-
-
-class TestReplicationSetJson:
-    def test_round_trip(self, alternating_sample):
-        replications = replicate(alternating_sample, 25, MODE_ORACLE, seed=33)
-        payload = json.loads(replications.to_json())
-        assert payload["mode"] == MODE_ORACLE
-        assert payload["B"] == 25
-        assert payload["f"] == 0.5
-        assert ReplicationSet.from_json_dict(payload) == replications
-
-    def test_b_mismatch_rejected(self):
-        payload = {
-            "mode": MODE_ORACLE,
-            "seed": 1,
-            "B": 3,
-            "f": 0.5,
-            "replications": [{"raw": 1, "estimate": 2.0}],
-        }
-        with pytest.raises(ValueError, match="B="):
-            ReplicationSet.from_json_dict(payload)
