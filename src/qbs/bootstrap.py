@@ -14,8 +14,11 @@ them. Three interchangeable engines produce the same distribution:
   quantum engines are validated against.
 
 Each quantum engine simulates its fixed circuit once and keeps the
-cumulative outcome weights (``sim.outcome_cdf``); every measurement is one
-uniform from its own seeded generator looked up in that table. All three
+cumulative outcome weights (``sim.outcome_cdf``); every measurement is the
+first uniform of its own seeded child generator, looked up in that table
+(``sim.draw_basis_index``). The sequential engine builds those generators
+one per draw; the parallel engine computes all B of its uniforms in one
+array pass (``rng.child_uniforms``), the same values bit for bit. All three
 engines hand their raw totals to ``_replication_set``, which scales them
 into estimates.
 """
@@ -30,7 +33,7 @@ from .circuit import Circuit, qubit_capacity, register_value
 from .counter import CounterSpec, build_counter, build_ripple_adder
 from .errors import CapacityError, QbsError
 from .qram import BitDataArray, ValueDataArray, build_qsa, build_value_qsa
-from .rng import derive_seed, fresh_seed, make_rng
+from .rng import child_uniforms, derive_seed, fresh_seed, make_rng
 from .sim import draw_basis_index, outcome_cdf, run_basis, simulate
 
 MODE_SEQUENTIAL = "quantum_sequential"
@@ -168,13 +171,13 @@ class _SequentialEngine:
         self.qsa_cdf = outcome_cdf(simulate(qsa))
 
     def _draw_results(self, seed: int) -> list[int]:
-        return [
-            register_value(
-                draw_basis_index(self.qsa_cdf, make_rng(derive_seed(seed, k))),
-                self.data_register,
-            )
-            for k in range(self.n)
-        ]
+        # one generator per draw: child_uniforms(seed, n) has a fixed cost
+        # above that of the n scalar draws of one replication at small n
+        uniforms = np.array(
+            [make_rng(derive_seed(seed, k)).random() for k in range(self.n)]
+        )
+        indices = draw_basis_index(self.qsa_cdf, uniforms)
+        return register_value(indices, self.data_register).tolist()
 
     def _total_bits(self, bits: list[int]) -> int:
         index = sum(bit << qubit for qubit, bit in enumerate(bits))
@@ -256,13 +259,8 @@ def replicate(
         # once and draw one counter measurement per replication
         circuit = build_parallel_replication_circuit(sample)
         cdf = outcome_cdf(simulate(circuit))
-        counter_range = circuit.register("counter")
-        raws = [
-            register_value(
-                draw_basis_index(cdf, make_rng(derive_seed(seed, j))), counter_range
-            )
-            for j in range(B)
-        ]
+        indices = draw_basis_index(cdf, child_uniforms(seed, B))
+        raws = register_value(indices, circuit.register("counter")).tolist()
     return _replication_set(sample, raws, mode, seed)
 
 

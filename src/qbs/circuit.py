@@ -215,5 +215,8 @@ def bitstring_of(index: int, num_qubits: int) -> str:
 
 
 def register_value(index: int, qubits: range) -> int:
-    """Integer held by a contiguous register within a basis index."""
+    """Integer held by a contiguous register within a basis index.
+
+    Also works elementwise on an integer array of basis indices.
+    """
     return (index >> qubits.start) & ((1 << len(qubits)) - 1)

@@ -165,9 +165,14 @@ def outcome_cdf(state: StateVector) -> np.ndarray:
     return cdf
 
 
-def draw_basis_index(cdf: np.ndarray, rng: np.random.Generator) -> int:
-    """One measurement outcome: the basis index ``cdf`` assigns to one uniform."""
-    return int(cdf.searchsorted(rng.random(), side="right"))
+def draw_basis_index(
+    cdf: np.ndarray, uniforms: float | np.ndarray
+) -> np.intp | np.ndarray:
+    """Measurement outcomes: the basis index ``cdf`` assigns to each uniform.
+
+    A scalar uniform gives one index, an array gives an index array.
+    """
+    return cdf.searchsorted(uniforms, side="right")
 
 
 def sample(circuit: Circuit, shots: int, seed: int | None = None) -> CountsTable:

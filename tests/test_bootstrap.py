@@ -7,7 +7,6 @@ from qbs.bootstrap import (
     MODE_ORACLE,
     MODE_PARALLEL,
     MODE_SEQUENTIAL,
-    Replication,
     SampleResults,
     build_parallel_replication_circuit,
     classical_bootstrap_oracle,
@@ -208,14 +207,21 @@ class TestReplicate:
         assert p > 0.001
 
     @given(
-        st.integers(0, 12),
-        st.integers(1, 16).flatmap(lambda n: st.tuples(st.just(n), st.integers(n, 64))),
+        st.sampled_from([2, 4]).flatmap(lambda n: st.tuples(st.just(n), st.integers(n, 64))),
+        st.integers(0, 2**64 - 1),
     )
-    def test_estimate_is_exact_scaling(self, raw, n_and_population):
+    def test_estimate_is_exact_scaling(self, n_and_population, seed):
         n, population = n_and_population
-        raw = min(raw, n)
-        sample = SampleResults((1,) * n, population_size=population)
-        assert Replication(raw, raw / sample.f).estimate == raw / (n / population)
+        bits = SampleResults((0, 1) * (n // 2), population_size=population)
+        cases = [(bits, mode) for mode in (MODE_SEQUENTIAL, MODE_PARALLEL, MODE_ORACLE)]
+        for aggregate in ("SUM", "AVG"):
+            values = SampleResults(tuple(range(1, n + 1)), population, aggregate)
+            cases += [(values, MODE_SEQUENTIAL), (values, MODE_ORACLE)]
+        for sample, mode in cases:
+            # AVG divides the resample total by n; COUNT and SUM by f = n/N
+            divisor = n if sample.aggregate == "AVG" else n / population
+            for rep in replicate(sample, 8, mode, seed).replications:
+                assert rep.estimate == rep.raw_count / divisor
 
 
 class TestSumReplication:

@@ -1,0 +1,29 @@
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from qbs.rng import child_uniforms, derive_seed, make_rng
+
+# masters at the word boundaries of the SeedSequence entropy
+EDGE_MASTERS = (0, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**130 + 3, 2**200 - 1)
+
+
+class TestChildUniforms:
+    @given(
+        st.integers(0, 2**200) | st.sampled_from(EDGE_MASTERS),
+        st.integers(0, 300),
+    )
+    def test_equals_one_generator_per_child(self, master, count):
+        expected = [make_rng(derive_seed(master, k)).random() for k in range(count)]
+        uniforms = child_uniforms(master, count)
+        assert uniforms.dtype == np.float64
+        assert uniforms.tolist() == expected
+
+    def test_negative_master_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            child_uniforms(-1, 4)
+
+    def test_count_beyond_one_key_word_rejected(self):
+        with pytest.raises(ValueError, match="count"):
+            child_uniforms(7, 2**32)

@@ -182,20 +182,29 @@ class TestDrawBasisIndex:
     def test_basis_state_yields_its_own_index(self):
         cdf = outcome_cdf(simulate(Circuit(3).x(0).x(2)))
         for seed in range(20):
-            assert draw_basis_index(cdf, make_rng(seed)) == 0b101
+            assert draw_basis_index(cdf, make_rng(seed).random()) == 0b101
 
     def test_hadamard_is_fair_across_seeds(self):
         cdf = outcome_cdf(simulate(Circuit(1).h(0)))
-        ones = sum(draw_basis_index(cdf, make_rng(s)) == 1 for s in range(10000))
+        ones = sum(draw_basis_index(cdf, make_rng(s).random()) == 1 for s in range(10000))
         assert 0.47 <= ones / 10000 <= 0.53
 
-    @given(circuits(max_qubits=6), st.integers(0, 2**64 - 1))
-    def test_equals_rng_choice_for_a_fixed_seed(self, circ, seed):
+    @given(
+        circuits(max_qubits=6),
+        st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=8),
+    )
+    def test_equals_rng_choice_for_a_fixed_seed(self, circ, seeds):
         # classical gates leave many cells at zero weight: flat CDF steps
         state = simulate(circ)
         probs = outcome_probabilities(state)
-        expected = int(make_rng(seed).choice(probs.size, p=probs))
-        assert draw_basis_index(outcome_cdf(state), make_rng(seed)) == expected
+        cdf = outcome_cdf(state)
+        uniforms = [make_rng(seed).random() for seed in seeds]
+        for seed, u in zip(seeds, uniforms):
+            expected = int(make_rng(seed).choice(probs.size, p=probs))
+            assert draw_basis_index(cdf, u) == expected
+        # an array of uniforms draws the same indices as the scalar calls
+        drawn = draw_basis_index(cdf, np.array(uniforms))
+        assert drawn.tolist() == [draw_basis_index(cdf, u) for u in uniforms]
 
 
 class TestRunBasis:
