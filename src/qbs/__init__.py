@@ -16,7 +16,6 @@ from .bootstrap import (
     MODE_PARALLEL,
     MODE_SEQUENTIAL,
     MODES,
-    Replication,
     ReplicationSet,
     SampleResults,
     replicate,
@@ -45,7 +44,6 @@ __all__ = [
     "PipelineError",
     "QbsError",
     "QuerySpec",
-    "Replication",
     "ReplicationSet",
     "SampleResults",
     "StateVector",

@@ -20,7 +20,8 @@ first uniform of its own seeded child generator, looked up in that table
 one per draw; the parallel engine computes all B of its uniforms in one
 array pass (``rng.child_uniforms``), the same values bit for bit. All three
 engines hand their raw totals to ``_replication_set``, which scales them
-into estimates.
+into estimates with one division; a ``ReplicationSet`` holds both as
+read-only arrays, int64 totals and float64 estimates.
 """
 
 from __future__ import annotations
@@ -81,6 +82,8 @@ class SampleResults:
                 raise ValueError("COUNT tuple results must be 0 or 1")
         elif any(v < 0 for v in self.values):
             raise ValueError("SUM/AVG tuple results must be non-negative")
+        elif self.n * max(self.values) >= 2**63:
+            raise ValueError("SUM/AVG resample totals, up to n * max value, overflow int64")
         if self.match_count is not None and not 0 <= self.match_count <= len(self.values):
             raise ValueError(f"match_count {self.match_count} outside 0..{len(self.values)}")
 
@@ -94,46 +97,42 @@ class SampleResults:
         return self.n / self.population_size
 
 
-@dataclass(frozen=True)
-class Replication:
-    """One resample total (raw_count) and its scaled estimate."""
-
-    raw_count: int
-    estimate: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReplicationSet:
-    replications: tuple[Replication, ...]
+    """B replications: int64 totals ``raw`` and float64 estimates ``scaled``, read-only."""
+
+    raw: np.ndarray
+    scaled: np.ndarray
     mode: str
     seed: int
-    sampling_fraction: float
 
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
-        if not self.replications:
+        if not len(self.raw):
             raise ValueError("a replication set cannot be empty")
+        self.raw.setflags(write=False)
+        self.scaled.setflags(write=False)
 
     @property
     def B(self) -> int:
-        return len(self.replications)
+        return len(self.raw)
 
     def raw_counts(self) -> np.ndarray:
-        return np.array([r.raw_count for r in self.replications], dtype=np.int64)
+        return self.raw
 
     def estimates(self) -> np.ndarray:
-        return np.array([r.estimate for r in self.replications], dtype=np.float64)
+        return self.scaled
 
 
 def _replication_set(
-    sample: SampleResults, raws: list[int], mode: str, seed: int
+    sample: SampleResults, raws: np.ndarray | list[int], mode: str, seed: int
 ) -> ReplicationSet:
-    """Pair each raw resample total with its scaled estimate."""
+    """Scale the raw resample totals into estimates with one division."""
+    raws = np.asarray(raws, dtype=np.int64)
     # AVG divides the total by n; COUNT and SUM scale it up by 1/f
     divisor = sample.n if sample.aggregate == "AVG" else sample.f
-    reps = tuple(Replication(raw, raw / divisor) for raw in raws)
-    return ReplicationSet(reps, mode, seed, sample.f)
+    return ReplicationSet(raws, raws / divisor, mode, seed)
 
 
 def _require_power_of_two(n: int) -> int:
@@ -260,7 +259,7 @@ def replicate(
         circuit = build_parallel_replication_circuit(sample)
         cdf = outcome_cdf(simulate(circuit))
         indices = draw_basis_index(cdf, child_uniforms(seed, B))
-        raws = register_value(indices, circuit.register("counter")).tolist()
+        raws = register_value(indices, circuit.register("counter"))
     return _replication_set(sample, raws, mode, seed)
 
 
@@ -276,4 +275,4 @@ def classical_bootstrap_oracle(
     values = np.asarray(sample.values, dtype=np.int64)
     picks = rng.integers(0, sample.n, size=(B, sample.n))
     raws = values[picks].sum(axis=1)
-    return _replication_set(sample, raws.tolist(), MODE_ORACLE, seed)
+    return _replication_set(sample, raws, MODE_ORACLE, seed)

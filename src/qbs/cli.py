@@ -277,13 +277,12 @@ def cmd_assess(args: argparse.Namespace) -> int:
         comments = {"command": "assess", "version": __version__}
         comments.update(report.to_dict())
         comments["ci"] = f"{report.ci_lower}..{report.ci_upper}"
+        # .tolist() keeps Python's int/float formatting, not numpy scalar reprs
+        pairs = zip(replications.raw_counts().tolist(), replications.estimates().tolist())
         _emit(
             _csv_text(
                 ["replication", "raw", "estimate"],
-                [
-                    [j, r.raw_count, r.estimate]
-                    for j, r in enumerate(replications.replications)
-                ],
+                [[j, raw, estimate] for j, (raw, estimate) in enumerate(pairs)],
                 comments,
             ),
             args.out,

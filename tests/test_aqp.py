@@ -22,7 +22,7 @@ from qbs.aqp import (
     tuple_results,
     z_percentile,
 )
-from qbs.bootstrap import MODE_ORACLE, Replication, ReplicationSet, SampleResults
+from qbs.bootstrap import MODE_ORACLE, ReplicationSet, SampleResults
 from qbs.errors import PipelineError
 
 from helpers import interpret_row, stdev_by_hand
@@ -215,8 +215,8 @@ class TestEstimate:
 
 class TestBootstrapSe:
     def _set(self, estimates):
-        reps = tuple(Replication(int(e), float(e)) for e in estimates)
-        return ReplicationSet(reps, MODE_ORACLE, 0, 0.5)
+        raws = np.array(estimates, dtype=np.int64)
+        return ReplicationSet(raws, raws / 1.0, MODE_ORACLE, 0)
 
     def test_two_replications_by_hand(self):
         assert bootstrap_se(self._set([2, 4])) == pytest.approx(math.sqrt(2))

@@ -44,19 +44,31 @@ class TestSampleResults:
         with pytest.raises(ValueError):
             SampleResults((0, 1), population_size=4, match_count=3)
 
+    @pytest.mark.parametrize("aggregate", ["SUM", "AVG"])
+    def test_totals_must_fit_int64(self, aggregate):
+        # a resample of 16 values near 2^60 totals up to 2^64, which int64 wraps
+        with pytest.raises(ValueError, match="int64"):
+            SampleResults((2**60,) * 16, population_size=64, aggregate=aggregate)
+        with pytest.raises(ValueError, match="int64"):
+            SampleResults((2**63,), population_size=2, aggregate=aggregate)
+        # the largest accepted totals stay exact
+        sample = SampleResults((2**62 - 1,) * 2, population_size=4, aggregate=aggregate)
+        raws = classical_bootstrap_oracle(sample, 4, seed=0).raw_counts()
+        assert raws.tolist() == [2**63 - 2] * 4
+
 
 class TestSequentialReplication:
     def test_all_ones_always_full_count(self):
         sample = SampleResults((1, 1, 1, 1), population_size=8)
-        for rep in replicate(sample, 5, MODE_SEQUENTIAL, seed=0).replications:
-            assert rep.raw_count == 4
-            assert rep.estimate == 8.0
+        replications = replicate(sample, 5, MODE_SEQUENTIAL, seed=0)
+        assert replications.raw_counts().tolist() == [4] * 5
+        assert replications.estimates().tolist() == [8.0] * 5
 
     def test_all_zeros(self):
         sample = SampleResults((0, 0, 0, 0), population_size=8)
-        for rep in replicate(sample, 2, MODE_SEQUENTIAL, seed=3).replications:
-            assert rep.raw_count == 0
-            assert rep.estimate == 0.0
+        replications = replicate(sample, 2, MODE_SEQUENTIAL, seed=3)
+        assert replications.raw_counts().tolist() == [0, 0]
+        assert replications.estimates().tolist() == [0.0, 0.0]
 
     def test_non_power_of_two_rejected(self):
         sample = SampleResults((0, 1, 1), population_size=6)
@@ -101,14 +113,20 @@ class TestSeedStream:
         ids=["sequential-count", "sequential-sum", "parallel-count", "oracle"],
     )
     def test_golden_raw_counts(self, sample, B, mode, seed, expected):
-        assert replicate(sample, B, mode, seed).raw_counts().tolist() == expected
+        replications = replicate(sample, B, mode, seed)
+        assert replications.raw_counts().tolist() == expected
+        # two read-only arrays, stored once; every case here scales by 1/f
+        raws, estimates = replications.raw_counts(), replications.estimates()
+        assert raws.dtype == np.int64 and estimates.dtype == np.float64
+        assert not raws.flags.writeable and not estimates.flags.writeable
+        assert replications.raw_counts() is raws and replications.estimates() is estimates
+        assert (estimates == raws / sample.f).all()
 
 
 class TestParallelReplication:
     def test_constant_data_always_counts_two(self):
         sample = SampleResults((1, 1), population_size=4)
-        replications = replicate(sample, 20, MODE_PARALLEL, seed=4)
-        assert all(r.raw_count == 2 for r in replications.replications)
+        assert replicate(sample, 20, MODE_PARALLEL, seed=4).raw_counts().tolist() == [2] * 20
 
     def test_circuit_layout_n4(self):
         sample = SampleResults((0, 1, 0, 1), population_size=8)
@@ -139,15 +157,13 @@ class TestParallelReplication:
         # n=1 leaves no address qubits; the data qubit alone feeds the counter
         sample = SampleResults((1,), population_size=2)
         for mode in (MODE_SEQUENTIAL, MODE_PARALLEL):
-            replications = replicate(sample, 3, mode, seed=1)
-            assert [r.raw_count for r in replications.replications] == [1, 1, 1]
+            assert replicate(sample, 3, mode, seed=1).raw_counts().tolist() == [1, 1, 1]
 
 
 class TestClassicalOracle:
     def test_constant_sample(self):
         sample = SampleResults((1, 1, 1), population_size=6)
-        replications = classical_bootstrap_oracle(sample, 10, seed=1)
-        assert all(r.raw_count == 3 for r in replications.replications)
+        assert classical_bootstrap_oracle(sample, 10, seed=1).raw_counts().tolist() == [3] * 10
 
     def test_two_value_histogram(self):
         sample = SampleResults((0, 1), population_size=4)
@@ -180,15 +196,16 @@ class TestReplicate:
 
     def test_degenerate_zero_sample(self):
         sample = SampleResults((0, 0), population_size=4)
-        replications = replicate(sample, 2, MODE_SEQUENTIAL, seed=0)
-        assert [r.raw_count for r in replications.replications] == [0, 0]
+        assert replicate(sample, 2, MODE_SEQUENTIAL, seed=0).raw_counts().tolist() == [0, 0]
 
     @pytest.mark.parametrize("mode", [MODE_SEQUENTIAL, MODE_PARALLEL, MODE_ORACLE])
     def test_determinism(self, mode):
         sample = SampleResults((0, 1, 0, 1), population_size=8)
         first = replicate(sample, 40, mode, seed=123)
         second = replicate(sample, 40, mode, seed=123)
-        assert first == second
+        assert first.raw_counts().tolist() == second.raw_counts().tolist()
+        assert first.estimates().tolist() == second.estimates().tolist()
+        assert (first.mode, first.seed) == (second.mode, second.seed)
 
     @pytest.mark.parametrize("mode", [MODE_SEQUENTIAL, MODE_PARALLEL, MODE_ORACLE])
     def test_raw_count_range(self, mode):
@@ -220,8 +237,9 @@ class TestReplicate:
         for sample, mode in cases:
             # AVG divides the resample total by n; COUNT and SUM by f = n/N
             divisor = n if sample.aggregate == "AVG" else n / population
-            for rep in replicate(sample, 8, mode, seed).replications:
-                assert rep.estimate == rep.raw_count / divisor
+            replications = replicate(sample, 8, mode, seed)
+            raws = replications.raw_counts().tolist()
+            assert replications.estimates().tolist() == [raw / divisor for raw in raws]
 
 
 class TestSumReplication:
@@ -232,7 +250,7 @@ class TestSumReplication:
         assert set(np.unique(raws)) <= {2, 4, 6}
         # resample mean is (3+1)/2 per draw, so 4 per replication of two draws
         assert 3.4 <= raws.mean() <= 4.6
-        assert replications.replications[0].estimate == raws[0] / 0.5
+        assert replications.estimates()[0] == raws[0] / 0.5
 
     def test_sum_matches_classical_oracle(self):
         sample = SampleResults((2, 0, 3, 1), population_size=8, aggregate="SUM")
@@ -248,10 +266,9 @@ class TestSumReplication:
     def test_avg_estimate_divides_by_n(self):
         sample = SampleResults((4, 2), population_size=4, aggregate="AVG")
         replications = replicate(sample, 50, MODE_SEQUENTIAL, seed=17)
-        for rep in replications.replications:
-            assert rep.estimate == rep.raw_count / 2
+        raws = replications.raw_counts().tolist()
+        assert replications.estimates().tolist() == [raw / 2 for raw in raws]
 
     def test_sum_of_all_zero_values(self):
         sample = SampleResults((0, 0), population_size=4, aggregate="SUM")
-        replications = replicate(sample, 3, MODE_SEQUENTIAL, seed=18)
-        assert all(r.raw_count == 0 for r in replications.replications)
+        assert replicate(sample, 3, MODE_SEQUENTIAL, seed=18).raw_counts().tolist() == [0, 0, 0]

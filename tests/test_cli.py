@@ -6,6 +6,53 @@ from qbs.circuit import Circuit, controlled_x
 from qbs.cli import main
 from qbs.counter import CounterSpec
 
+# `assess -n 4 -B 8 --seed 3 --format csv` on the alternating flag table:
+# comment lines end in \n, csv.writer ends the table rows in \r\n
+CSV_COMMENTS = """\
+# command=assess
+# version=0.1.0
+# point_estimate=500.0
+# se_b={se_b}
+# alpha=0.05
+# z=1.6448536269514715
+# ci={ci}
+# B=8
+# f=0.002
+# n=4
+# N=2000
+# seed=3
+# mode={mode}
+"""
+
+
+def _pinned_csv(se_b: str, ci: str, mode: str, rows: str) -> str:
+    table = ["replication,raw,estimate", *rows.split()]
+    return CSV_COMMENTS.format(se_b=se_b, ci=ci, mode=mode) + "".join(
+        line + "\r\n" for line in table
+    )
+
+
+CSV_REPLICATIONS = {
+    "sequential": _pinned_csv(
+        "320.4349722308279",
+        "-27.06862627597127..1027.0686262759714",
+        "quantum_sequential",
+        "0,1,500.0 1,1,500.0 2,1,500.0 3,2,1000.0 4,1,500.0 5,1,500.0 6,2,1000.0 7,0,0.0",
+    ),
+    "parallel": _pinned_csv(
+        "258.77458475338284",
+        "74.35368570553726..925.6463142944627",
+        "quantum_parallel",
+        "0,1,500.0 1,1,500.0 2,1,500.0 3,1,500.0 4,0,0.0 5,1,500.0 6,0,0.0 7,0,0.0",
+    ),
+    "oracle": _pinned_csv(
+        "258.77458475338284",
+        "74.35368570553726..925.6463142944627",
+        "classical_oracle",
+        "0,0,0.0 1,1,500.0 2,0,0.0 3,0,0.0 4,0,0.0 5,0,0.0 6,1,500.0 7,1,500.0",
+    ),
+}
+
 
 @pytest.fixture
 def alternating_bits_file(tmp_path):
@@ -289,7 +336,8 @@ class TestAssess:
         assert code == 2
         assert "quantum_sequential" in capsys.readouterr().err
 
-    def test_csv_replications(self, flag_table_file, count_query_file, capsys):
+    @pytest.mark.parametrize("mode", ["sequential", "parallel", "oracle"])
+    def test_csv_replications(self, flag_table_file, count_query_file, mode, capsys):
         code = main(
             [
                 "assess",
@@ -298,19 +346,17 @@ class TestAssess:
                 "-n",
                 "4",
                 "-B",
-                "50",
+                "8",
                 "--mode",
-                "oracle",
+                mode,
                 "--seed",
                 "3",
                 "--format",
                 "csv",
             ]
         )
-        out = capsys.readouterr().out
         assert code == 0
-        assert "replication,raw,estimate" in out
-        assert len([l for l in out.splitlines() if l and not l.startswith("#")]) == 51
+        assert capsys.readouterr().out == CSV_REPLICATIONS[mode]
 
 
 class TestSelfcheck:
