@@ -6,22 +6,24 @@ them. Three interchangeable engines produce the same distribution:
 * ``quantum_sequential``: measure the resampler circuit once per draw, then
   total the measured bits with the counter circuit (values go through the
   ripple-carry adder instead). The totaler receives classical bits, so it
-  runs on a basis index (``sim.run_basis``), not on a statevector.
-* ``quantum_parallel``: one wide circuit holding every resampler block
-  plus the counter; a single measurement of the counter register is one
-  replication. Qubit count grows fast, so this engine is for small n.
+  runs on basis bits (``sim.run_basis_bits``), not on a statevector.
+* ``quantum_parallel``: the paper's n resampler blocks feeding one
+  counter, COUNT only. The counter permutes basis states, so measuring
+  each block first gives the same distribution (deferred measurement):
+  the counter totals all B replications' block draws at once, bit-sliced.
 * ``classical_oracle``: plain seeded resampling, the reference the
   quantum engines are validated against.
 
-Each quantum engine simulates its fixed circuit once and keeps the
-cumulative outcome weights (``sim.outcome_cdf``); every measurement is the
-first uniform of its own seeded child generator, looked up in that table
-(``sim.draw_basis_index``). The sequential engine builds those generators
-one per draw; the parallel engine computes all B of its uniforms in one
-array pass (``rng.child_uniforms``), the same values bit for bit. All three
-engines hand their raw totals to ``_replication_set``, which scales them
-into estimates with one division; a ``ReplicationSet`` holds both as
-read-only arrays, int64 totals and float64 estimates.
+Both quantum modes run one ``_QuantumEngine``, which simulates the
+resampler once and keeps its cumulative outcome weights
+(``sim.outcome_cdf``). Draw k of replication j is the first uniform of
+generator ``derive_seed(derive_seed(seed, j), k)``, looked up in that table
+(``sim.draw_basis_index``), so both modes give equal COUNT replications.
+Sequential builds those generators one per draw; parallel computes all B*n
+uniforms in one array pass (``rng.child_uniforms``), bit for bit the same.
+All three engines hand their raw totals to ``_replication_set``, which
+scales them into estimates with one division; a ``ReplicationSet`` holds
+both as read-only arrays, int64 totals and float64 estimates.
 """
 
 from __future__ import annotations
@@ -30,12 +32,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Circuit, qubit_capacity, register_value
+from .circuit import register_value
 from .counter import CounterSpec, build_counter, build_ripple_adder
-from .errors import CapacityError, QbsError
+from .errors import QbsError
 from .qram import BitDataArray, ValueDataArray, build_qsa, build_value_qsa
-from .rng import child_uniforms, derive_seed, fresh_seed, make_rng
-from .sim import draw_basis_index, outcome_cdf, run_basis, simulate
+from .rng import child_seeds, child_uniforms, derive_seed, fresh_seed, make_rng
+from .sim import draw_basis_index, outcome_cdf, run_basis, run_basis_bits, simulate
 
 MODE_SEQUENTIAL = "quantum_sequential"
 MODE_PARALLEL = "quantum_parallel"
@@ -143,12 +145,12 @@ def _require_power_of_two(n: int) -> int:
     return n.bit_length() - 1
 
 
-class _SequentialEngine:
-    """Precomputed circuits for repeated sequential replications.
+class _QuantumEngine:
+    """Precomputed circuits for repeated quantum replications.
 
     The resampler statevector is fixed across runs, so it is simulated once
     and each run only draws fresh measurements from it. The drawn values
-    are classical, so the totaler runs on their basis index.
+    are classical, so the totaler runs on their basis bits.
     """
 
     def __init__(self, sample: SampleResults):
@@ -178,9 +180,11 @@ class _SequentialEngine:
         indices = draw_basis_index(self.qsa_cdf, uniforms)
         return register_value(indices, self.data_register).tolist()
 
-    def _total_bits(self, bits: list[int]) -> int:
-        index = sum(bit << qubit for qubit, bit in enumerate(bits))
-        return register_value(run_basis(self.totaler, index), self.totaler.register("counter"))
+    def _total_bits(self, bits: list) -> int | np.ndarray:
+        """Counter total of the n drawn bits: ints, or int arrays for a batch."""
+        counter = self.totaler.register("counter")
+        out = run_basis_bits(self.totaler, bits + [0] * len(counter))
+        return sum(out[qubit] << k for k, qubit in enumerate(counter))
 
     def _add_on_basis(self, addend: int, acc: int) -> int:
         index = run_basis(self.totaler, addend | acc << self.acc_width)
@@ -198,41 +202,11 @@ class _SequentialEngine:
             raw = self._add_on_basis(value, raw)
         return raw
 
-
-def build_parallel_replication_circuit(sample: SampleResults) -> Circuit:
-    """One circuit holding n resampler blocks feeding the counter.
-
-    Only COUNT fits this layout. Needs n*(log2(n)+1) + counter qubits, so
-    it exceeds the simulator capacity already for n=8 over 8 addresses;
-    the error says to fall back to the sequential engine.
-    """
-    if sample.aggregate != "COUNT":
-        raise ValueError("the parallel engine supports COUNT samples only")
-    n = sample.n
-    a = _require_power_of_two(n)
-    spec = CounterSpec.for_controls(n)
-    block = a + 1
-    total = n * block + spec.q
-    capacity = qubit_capacity()
-    if total > capacity:
-        raise CapacityError(
-            f"parallel replication of n={n} needs {total} qubits, over the "
-            f"capacity of {capacity}; use {MODE_SEQUENTIAL} instead"
-        )
-    registers: dict[str, range] = {}
-    for k in range(n):
-        if a:
-            registers[f"address{k}"] = range(k * block, k * block + a)
-        registers[f"data{k}"] = range(k * block + a, (k + 1) * block)
-    registers["counter"] = range(n * block, total)
-    circuit = Circuit(total, registers=registers)
-    qsa = build_qsa(BitDataArray(sample.values))
-    for k in range(n):
-        circuit.extend(qsa, range(k * block, (k + 1) * block))
-    data_qubits = [k * block + a for k in range(n)]
-    counter_qubits = list(range(n * block, total))
-    circuit.extend(build_counter(spec), data_qubits + counter_qubits)
-    return circuit
+    def run_all(self, seed: int, B: int) -> np.ndarray:
+        """B COUNT replications, each equal to ``run(derive_seed(seed, j))``."""
+        uniforms = child_uniforms(child_seeds(seed, B), self.n)
+        drawn = register_value(draw_basis_index(self.qsa_cdf, uniforms), self.data_register)
+        return self._total_bits(list(drawn.T))
 
 
 def replicate(
@@ -250,16 +224,13 @@ def replicate(
         seed = fresh_seed()
     if mode == MODE_ORACLE:
         return classical_bootstrap_oracle(sample, B, seed)
+    if mode == MODE_PARALLEL and sample.aggregate != "COUNT":
+        raise ValueError("the parallel engine supports COUNT samples only")
+    engine = _QuantumEngine(sample)
     if mode == MODE_SEQUENTIAL:
-        engine = _SequentialEngine(sample)
         raws = [engine.run(derive_seed(seed, j)) for j in range(B)]
     else:
-        # parallel: the circuit and its pure state are fixed, so simulate
-        # once and draw one counter measurement per replication
-        circuit = build_parallel_replication_circuit(sample)
-        cdf = outcome_cdf(simulate(circuit))
-        indices = draw_basis_index(cdf, child_uniforms(seed, B))
-        raws = register_value(indices, circuit.register("counter"))
+        raws = engine.run_all(seed, B)
     return _replication_set(sample, raws, mode, seed)
 
 

@@ -61,7 +61,7 @@ def _csv_text(header: list[str], rows: list[list], comments: dict) -> str:
     buffer = io.StringIO()
     for key, value in comments.items():
         buffer.write(f"# {key}={value}\n")
-    writer = csv.writer(buffer)
+    writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
     return buffer.getvalue().rstrip("\n")

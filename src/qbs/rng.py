@@ -4,10 +4,10 @@ Every random draw in the package comes from a numpy PCG64 stream. Child
 seeds for independent sub-tasks (replications, per-draw measurements) come
 from ``numpy.random.SeedSequence`` with an index spawn key, i.e. a
 counter-indexed hash of the master seed, so one master seed pins down the
-entire run on any platform. ``child_uniforms`` computes the first uniform of
-many such child generators at once with array arithmetic, bit for bit what
-building each generator would give; numpy keeps the ``SeedSequence`` and
-``PCG64`` streams stable (NEP 19).
+entire run on any platform. ``child_seeds`` computes many child seeds, and
+``child_uniforms`` the first uniform of many child generators, at once with
+array arithmetic, bit for bit what building each would give; numpy keeps
+the ``SeedSequence`` and ``PCG64`` streams stable (NEP 19).
 """
 
 from __future__ import annotations
@@ -128,30 +128,46 @@ def _lcg_step(state_hi, state_lo, inc_hi, inc_lo):
     return _add128(prod_hi, state_lo * np.uint64(mult_lo), inc_hi, inc_lo)
 
 
-def child_uniforms(master: int, count: int) -> np.ndarray:
-    """``u[k] == make_rng(derive_seed(master, k)).random()`` for k < count.
+def _halves(words: np.ndarray) -> list[np.ndarray]:
+    """The low and high uint32 halves of a uint64 array."""
+    low, high = words & np.uint64(_MASK32), words >> np.uint64(32)
+    return [low.astype(np.uint32), high.astype(np.uint32)]
 
-    Replays, over arrays, what building each child generator does:
-    ``SeedSequence(master, spawn_key=(k,))`` gives the child seed,
-    ``SeedSequence(child)`` gives PCG64's initial state and increment, and
-    the first output (XSL-RR) becomes a double in [0, 1).
+
+def child_seeds(master, count: int) -> np.ndarray:
+    """``s[..., k] == derive_seed(master, k)`` for k < count, as uint64.
+
+    ``master`` is an int, or a uint64 array of masters that each get a
+    last axis of ``count`` children.
     """
-    if master < 0:
-        raise ValueError(f"seed must be non-negative, got {master}")
     if not 0 <= count < 2**32:  # a larger key takes two entropy words
         raise ValueError(f"count must be in 0..2**32-1, got {count}")
     # the master's words, zero-padded to the pool, precede the one key word
-    master_words = [
-        master >> shift & _MASK32 for shift in range(0, max(master.bit_length(), 1), 32)
-    ]
+    if isinstance(master, np.ndarray):
+        master_words = _halves(master[..., None])
+    elif master < 0:
+        raise ValueError(f"seed must be non-negative, got {master}")
+    else:
+        master_words = [
+            master >> shift & _MASK32 for shift in range(0, max(master.bit_length(), 1), 32)
+        ]
     master_words += [0] * (_POOL_SIZE - len(master_words))
     keys = np.arange(count, dtype=np.uint32)
     (child,) = _state64(_pool(master_words + [keys]), 1)
+    return child
+
+
+def child_uniforms(master, count: int) -> np.ndarray:
+    """``u[..., k] == make_rng(derive_seed(master, k)).random()`` for k < count.
+
+    Replays, over ``child_seeds``, what PCG64 does: ``SeedSequence(child)``
+    gives its initial state and increment, and the first output (XSL-RR)
+    becomes a double in [0, 1).
+    """
+    child = child_seeds(master, count)
     # PCG64(child) seeds from SeedSequence(child); zero high words hash the
     # same as absent ones, so the child is always two words
-    lo32 = (child & np.uint64(_MASK32)).astype(np.uint32)
-    hi32 = (child >> np.uint64(32)).astype(np.uint32)
-    state_hi, state_lo, seq_hi, seq_lo = _state64(_pool([lo32, hi32]), 4)
+    state_hi, state_lo, seq_hi, seq_lo = _state64(_pool(_halves(child)), 4)
     # pcg64 srandom: state = 0; inc = initseq << 1 | 1; step; += initstate; step
     one = np.uint64(1)
     inc_hi = seq_hi << one | seq_lo >> np.uint64(63)

@@ -7,7 +7,8 @@ the basis index). Controlled NOTs swap the two target slices inside the
 all-controls-on subspace, so no gate matrix is ever expanded.
 
 A circuit of X/CX/CCX/MCX gates maps each basis state to one basis state,
-so ``run_basis`` evaluates it on a basis index alone, with no statevector.
+so ``run_basis_bits`` evaluates it on basis bits (one state, or a batch
+bit-sliced) and ``run_basis`` on a basis index, with no statevector.
 """
 
 from __future__ import annotations
@@ -119,25 +120,31 @@ def simulate(circuit: Circuit) -> StateVector:
     return StateVector(state, n)
 
 
-def run_basis(circuit: Circuit, index: int) -> int:
-    """Run a reversible circuit on the basis state ``index``; return the final index.
+def run_basis_bits(circuit: Circuit, bits: list) -> list:
+    """Run a reversible circuit on basis bits, ``bits[q]`` for qubit q.
 
-    Each X/CX/CCX/MCX gate flips its target bit when every control bit is
-    set, so the cost is one integer operation per gate whatever the width.
-    A circuit holding ``H`` raises ``ValueError``: superpositions need
-    ``simulate``.
+    Each X/CX/CCX/MCX gate does ``bits[target] ^= AND(bits[controls])``. A
+    bit is an int 0/1, or an int array that holds one basis state per
+    element, bit-sliced. Returns a new list; ``H`` raises ``ValueError``.
     """
-    if not 0 <= index < (1 << circuit.num_qubits):
-        raise ValueError(f"index {index} out of range for {circuit.num_qubits} qubits")
+    bits = list(bits)
     for gate in circuit.gates:
         if gate.kind is GateKind.H:
-            raise ValueError("run_basis takes X/CX/CCX/MCX gates only; simulate circuits with H")
-        mask = 0
+            raise ValueError("basis runs take X/CX/CCX/MCX gates only; simulate circuits with H")
+        on = 1
         for control in gate.controls:
-            mask |= 1 << control
-        if index & mask == mask:
-            index ^= 1 << gate.target
-    return index
+            on = on & bits[control]
+        bits[gate.target] = bits[gate.target] ^ on
+    return bits
+
+
+def run_basis(circuit: Circuit, index: int) -> int:
+    """Run a reversible circuit on the basis state ``index``; return the final index."""
+    n = circuit.num_qubits
+    if not 0 <= index < (1 << n):
+        raise ValueError(f"index {index} out of range for {n} qubits")
+    bits = run_basis_bits(circuit, [index >> qubit & 1 for qubit in range(n)])
+    return sum(bit << qubit for qubit, bit in enumerate(bits))
 
 
 def outcome_probabilities(state: StateVector) -> np.ndarray:

@@ -3,7 +3,8 @@
 Everything here recomputes expected behavior through a different route
 than the implementation: dense matrices and index permutations instead of
 axis slicing, ``math.comb`` instead of sampling, direct array lookups,
-and a trivial row interpreter for predicates.
+a trivial row interpreter for predicates, and the paper's full-width
+parallel circuit that the parallel engine samples block by block.
 """
 
 from __future__ import annotations
@@ -14,7 +15,10 @@ from functools import reduce
 
 import numpy as np
 
+from qbs.bootstrap import SampleResults
 from qbs.circuit import Circuit, GateKind
+from qbs.counter import CounterSpec, build_counter
+from qbs.qram import BitDataArray, build_qsa
 
 _ID2 = np.eye(2, dtype=complex)
 _H2 = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
@@ -89,3 +93,30 @@ def basis_prep(num_qubits: int, pattern: int) -> Circuit:
         if (pattern >> q) & 1:
             prep.x(q)
     return prep
+
+
+def build_parallel_replication_circuit(sample: SampleResults) -> Circuit:
+    """The paper's parallel layout: n resampler blocks feeding one counter.
+
+    Block k holds address qubits then one data qubit; the data qubits are
+    the counter's controls. It needs n*(log2(n)+1) + counter qubits, so it
+    can be simulated only for n <= 4.
+    """
+    n = sample.n
+    a = n.bit_length() - 1
+    spec = CounterSpec.for_controls(n)
+    block = a + 1
+    total = n * block + spec.q
+    registers: dict[str, range] = {}
+    for k in range(n):
+        if a:
+            registers[f"address{k}"] = range(k * block, k * block + a)
+        registers[f"data{k}"] = range(k * block + a, (k + 1) * block)
+    registers["counter"] = range(n * block, total)
+    circuit = Circuit(total, registers=registers)
+    qsa = build_qsa(BitDataArray(sample.values))
+    for k in range(n):
+        circuit.extend(qsa, range(k * block, (k + 1) * block))
+    data_qubits = [k * block + a for k in range(n)]
+    circuit.extend(build_counter(spec), data_qubits + list(range(n * block, total)))
+    return circuit

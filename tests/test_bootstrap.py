@@ -8,14 +8,16 @@ from qbs.bootstrap import (
     MODE_PARALLEL,
     MODE_SEQUENTIAL,
     SampleResults,
-    build_parallel_replication_circuit,
     classical_bootstrap_oracle,
     replicate,
 )
-from qbs.errors import CapacityError
+from qbs.circuit import register_value
+from qbs.counter import CounterSpec, build_counter
+from qbs.qram import BitDataArray, build_qsa
+from qbs.sim import run_basis, simulate
 from qbs.stats import chi_square_gof, chi_square_two_sample, raw_count_histogram
 
-from helpers import binom_pmf, binom_pmf_vector
+from helpers import binom_pmf, binom_pmf_vector, build_parallel_replication_circuit
 
 
 class TestSampleResults:
@@ -106,7 +108,8 @@ class TestSeedStream:
             (SampleResults((3, 0, 5, 2), population_size=16, aggregate="SUM"),
              8, MODE_SEQUENTIAL, 12, [7, 13, 7, 8, 7, 11, 8, 7]),
             (SampleResults((1, 0, 1, 1), population_size=16),
-             16, MODE_PARALLEL, 13, [3, 2, 4, 4, 2, 4, 4, 4, 4, 3, 3, 4, 4, 3, 1, 4]),
+             # the sequential engine's replications for this sample and seed
+             16, MODE_PARALLEL, 13, [2, 2, 3, 2, 3, 4, 3, 4, 4, 3, 3, 4, 3, 3, 2, 4]),
             (SampleResults((1, 0, 1, 1, 0, 0, 1, 0), population_size=32),
              8, MODE_ORACLE, 14, [5, 4, 5, 4, 4, 3, 5, 6]),
         ],
@@ -143,15 +146,50 @@ class TestParallelReplication:
         _, p = chi_square_gof(histogram, binom_pmf_vector(4, 0.5))
         assert p > 0.001
 
-    def test_capacity_error_points_to_sequential(self):
-        sample = SampleResults((0, 1) * 4, population_size=16)
-        with pytest.raises(CapacityError, match="quantum_sequential"):
-            build_parallel_replication_circuit(sample)
-
     def test_sum_not_supported(self):
         sample = SampleResults((3, 1), population_size=4, aggregate="SUM")
         with pytest.raises(ValueError, match="COUNT"):
-            build_parallel_replication_circuit(sample)
+            replicate(sample, 2, MODE_PARALLEL, seed=0)
+
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_full_circuit_marginal_equals_block_pushforward(self, n):
+        # deferred measurement: the full-width circuit's counter marginal is
+        # the product of the block outcome probabilities pushed through the
+        # counter, which is what the engine samples
+        counter = build_counter(CounterSpec.for_controls(n))
+        counter_register = counter.register("counter")
+        for pattern in range(1 << n):
+            sample = SampleResults(tuple(pattern >> k & 1 for k in range(n)), 2 * n)
+            full = build_parallel_replication_circuit(sample)
+            indices = np.arange(1 << full.num_qubits)
+            marginal = np.bincount(
+                register_value(indices, full.register("counter")),
+                weights=simulate(full).probabilities(),
+                minlength=1 << len(counter_register),
+            )
+            qsa = build_qsa(BitDataArray(sample.values))
+            block_probs = simulate(qsa).probabilities()
+            data = register_value(np.arange(block_probs.size), qsa.register("data"))
+            p_one = block_probs[data == 1].sum()
+            pushforward = np.zeros_like(marginal)
+            for drawn in range(1 << n):
+                ones = bin(drawn).count("1")
+                total = register_value(run_basis(counter, drawn), counter_register)
+                pushforward[total] += p_one**ones * (1 - p_one) ** (n - ones)
+            np.testing.assert_allclose(marginal, pushforward, rtol=0, atol=1e-12)
+
+    @given(
+        st.sampled_from([1, 2, 4, 8, 16, 32, 64]).flatmap(
+            lambda n: st.lists(st.integers(0, 1), min_size=n, max_size=n)
+        ),
+        st.integers(2, 64),
+        st.integers(0, 2**72) | st.sampled_from([0, 2**64 - 1, 2**64, 2**70 + 5]),
+    )
+    def test_equals_sequential(self, bits, B, seed):
+        sample = SampleResults(tuple(bits), population_size=2 * len(bits))
+        parallel = replicate(sample, B, MODE_PARALLEL, seed).raw_counts()
+        sequential = replicate(sample, B, MODE_SEQUENTIAL, seed).raw_counts()
+        assert parallel.tolist() == sequential.tolist()
 
     def test_single_cell_sample(self):
         # n=1 leaves no address qubits; the data qubit alone feeds the counter

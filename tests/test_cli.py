@@ -6,8 +6,8 @@ from qbs.circuit import Circuit, controlled_x
 from qbs.cli import main
 from qbs.counter import CounterSpec
 
-# `assess -n 4 -B 8 --seed 3 --format csv` on the alternating flag table:
-# comment lines end in \n, csv.writer ends the table rows in \r\n
+# `assess -n 4 -B 8 --seed 3 --format csv` on the alternating flag table;
+# every line ends in \n
 CSV_COMMENTS = """\
 # command=assess
 # version=0.1.0
@@ -28,7 +28,7 @@ CSV_COMMENTS = """\
 def _pinned_csv(se_b: str, ci: str, mode: str, rows: str) -> str:
     table = ["replication,raw,estimate", *rows.split()]
     return CSV_COMMENTS.format(se_b=se_b, ci=ci, mode=mode) + "".join(
-        line + "\r\n" for line in table
+        line + "\n" for line in table
     )
 
 
@@ -39,11 +39,12 @@ CSV_REPLICATIONS = {
         "quantum_sequential",
         "0,1,500.0 1,1,500.0 2,1,500.0 3,2,1000.0 4,1,500.0 5,1,500.0 6,2,1000.0 7,0,0.0",
     ),
+    # the parallel engine's replications equal the sequential engine's
     "parallel": _pinned_csv(
-        "258.77458475338284",
-        "74.35368570553726..925.6463142944627",
+        "320.4349722308279",
+        "-27.06862627597127..1027.0686262759714",
         "quantum_parallel",
-        "0,1,500.0 1,1,500.0 2,1,500.0 3,1,500.0 4,0,0.0 5,1,500.0 6,0,0.0 7,0,0.0",
+        "0,1,500.0 1,1,500.0 2,1,500.0 3,2,1000.0 4,1,500.0 5,1,500.0 6,2,1000.0 7,0,0.0",
     ),
     "oracle": _pinned_csv(
         "258.77458475338284",
@@ -129,6 +130,7 @@ class TestQramTest:
         assert code == 0
         assert "address_binary,address_decimal,data_bit,count" in out
         assert "# seed=5" in out
+        assert "\r" not in out
 
     def test_missing_file(self, capsys):
         assert main(["qram-test", "/nope/missing.json"]) == 2
@@ -193,6 +195,13 @@ class TestCounterTest:
         out = capsys.readouterr().out
         assert code == 0
         assert "256/256 correct" in out
+
+    def test_csv_format(self, capsys):
+        code = main(["counter-test", "00011111", "--format", "csv", "--seed", "2"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "010100011111" in out
+        assert "\r" not in out
 
     def test_invalid_bitstring(self, capsys):
         assert main(["counter-test", "01a1"]) == 2
@@ -317,24 +326,26 @@ class TestAssess:
         assert "point estimate" in out
         assert "█" in out
 
-    def test_parallel_mode_over_capacity(self, flag_table_file, count_query_file, capsys):
-        code = main(
-            [
-                "assess",
-                flag_table_file,
-                count_query_file,
-                "-n",
-                "8",
-                "-B",
-                "10",
-                "--mode",
-                "parallel",
-                "--seed",
-                "1",
-            ]
-        )
-        assert code == 2
-        assert "quantum_sequential" in capsys.readouterr().err
+    @pytest.mark.parametrize("n", ["8", "16", "64"])
+    def test_parallel_mode_matches_sequential(
+        self, flag_table_file, count_query_file, n, capsys
+    ):
+        rows = {}
+        for mode in ("parallel", "sequential"):
+            args = ["assess", flag_table_file, count_query_file, "-n", n, "-B", "10"]
+            code = main(args + ["--mode", mode, "--seed", "1", "--format", "csv"])
+            assert code == 0
+            lines = capsys.readouterr().out.splitlines()
+            rows[mode] = lines[lines.index("replication,raw,estimate"):]
+        assert len(rows["parallel"]) == 11
+        assert rows["parallel"] == rows["sequential"]
+
+    def test_parallel_mode_rejects_sum(self, flag_table_file, tmp_path, capsys):
+        query = tmp_path / "sum.json"
+        query.write_text(json.dumps({"aggregate": "SUM", "target_column": "id"}))
+        args = ["assess", flag_table_file, str(query), "-n", "4", "-B", "10"]
+        assert main(args + ["--mode", "parallel", "--seed", "1"]) == 2
+        assert "COUNT" in capsys.readouterr().err
 
     @pytest.mark.parametrize("mode", ["sequential", "parallel", "oracle"])
     def test_csv_replications(self, flag_table_file, count_query_file, mode, capsys):
@@ -356,7 +367,9 @@ class TestAssess:
             ]
         )
         assert code == 0
-        assert capsys.readouterr().out == CSV_REPLICATIONS[mode]
+        out = capsys.readouterr().out
+        assert out == CSV_REPLICATIONS[mode]
+        assert "\r" not in out
 
 
 class TestSelfcheck:

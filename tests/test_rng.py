@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qbs.rng import child_uniforms, derive_seed, make_rng
+from qbs.rng import child_seeds, child_uniforms, derive_seed, make_rng
 
 # masters at the word boundaries of the SeedSequence entropy
 EDGE_MASTERS = (0, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**130 + 3, 2**200 - 1)
@@ -15,15 +15,27 @@ class TestChildUniforms:
         st.integers(0, 300),
     )
     def test_equals_one_generator_per_child(self, master, count):
+        seeds = child_seeds(master, count)
+        assert seeds.dtype == np.uint64
+        assert seeds.tolist() == [derive_seed(master, k) for k in range(count)]
         expected = [make_rng(derive_seed(master, k)).random() for k in range(count)]
         uniforms = child_uniforms(master, count)
         assert uniforms.dtype == np.float64
         assert uniforms.tolist() == expected
+        # a uint64 array of masters gives one row of children per master
+        grid = child_uniforms(seeds[:8], 5)
+        assert grid.shape == (min(count, 8), 5)
+        assert grid.tolist() == [
+            [make_rng(derive_seed(int(row_master), k)).random() for k in range(5)]
+            for row_master in seeds[:8]
+        ]
 
     def test_negative_master_rejected(self):
-        with pytest.raises(ValueError, match="non-negative"):
-            child_uniforms(-1, 4)
+        for draw in (child_seeds, child_uniforms):
+            with pytest.raises(ValueError, match="non-negative"):
+                draw(-1, 4)
 
     def test_count_beyond_one_key_word_rejected(self):
-        with pytest.raises(ValueError, match="count"):
-            child_uniforms(7, 2**32)
+        for draw in (child_seeds, child_uniforms):
+            with pytest.raises(ValueError, match="count"):
+                draw(7, 2**32)

@@ -15,6 +15,7 @@ from qbs.sim import (
     outcome_cdf,
     outcome_probabilities,
     run_basis,
+    run_basis_bits,
     sample,
     simulate,
 )
@@ -225,6 +226,15 @@ class TestRunBasis:
         expected = int(np.argmax(probs))
         assert np.isclose(probs[expected], 1.0, atol=1e-12)
         assert run_basis(circ, pattern) == expected
+        # a batch of patterns as int arrays, one basis state per element
+        patterns = (pattern + np.arange(8) * 37) % (1 << n)
+        bits = [patterns >> q & 1 for q in range(n)]
+        out = run_basis_bits(circ, bits)
+        for k, batch_pattern in enumerate(patterns.tolist()):
+            prep = basis_prep(n, batch_pattern)
+            prep.extend(circ, range(n))
+            index = int(np.argmax(simulate(prep).probabilities()))
+            assert [int(bit[k]) for bit in out] == [index >> q & 1 for q in range(n)]
 
     def test_rejects_hadamard(self):
         with pytest.raises(ValueError, match="H"):
