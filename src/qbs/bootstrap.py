@@ -5,22 +5,22 @@ them. Three interchangeable engines produce the same distribution:
 
 * ``quantum_sequential``: measure the resampler circuit once per draw, then
   total the measured bits with the counter circuit (values go through the
-  ripple-carry adder instead). The totaler receives classical bits, so it
-  runs on basis bits (``sim.run_basis_bits``), not on a statevector.
+  ripple-carry adder instead).
 * ``quantum_parallel``: the paper's n resampler blocks feeding one
   counter, COUNT only. The counter permutes basis states, so measuring
-  each block first gives the same distribution (deferred measurement):
-  the counter totals all B replications' block draws at once, bit-sliced.
+  each block first gives the same distribution (deferred measurement).
 * ``classical_oracle``: plain seeded resampling, the reference the
   quantum engines are validated against.
 
-Both quantum modes run one ``_QuantumEngine``, which simulates the
-resampler once and keeps its cumulative outcome weights
+Both quantum modes therefore run one pass, ``_quantum_raws``. It simulates
+the resampler once and keeps its cumulative outcome weights
 (``sim.outcome_cdf``). Draw k of replication j is the first uniform of
 generator ``derive_seed(derive_seed(seed, j), k)``, looked up in that table
-(``sim.draw_basis_index``), so both modes give equal COUNT replications.
-Sequential builds those generators one per draw; parallel computes all B*n
-uniforms in one array pass (``rng.child_uniforms``), bit for bit the same.
+(``sim.draw_basis_index``); ``rng.child_uniforms`` computes those uniforms
+with array arithmetic, bit for bit, in blocks of at most ``_DRAW_BLOCK``
+draws. The drawn bits are classical, so the totaler runs on basis bits
+(``sim.run_basis_bits``) for all B replications at once, bit-sliced: the
+counter once over the n drawn columns, or the adder once per column.
 All three engines hand their raw totals to ``_replication_set``, which
 scales them into estimates with one division; a ``ReplicationSet`` holds
 both as read-only arrays, int64 totals and float64 estimates.
@@ -36,8 +36,8 @@ from .circuit import register_value
 from .counter import CounterSpec, build_counter, build_ripple_adder
 from .errors import QbsError
 from .qram import BitDataArray, ValueDataArray, build_qsa, build_value_qsa
-from .rng import child_seeds, child_uniforms, derive_seed, fresh_seed, make_rng
-from .sim import draw_basis_index, outcome_cdf, run_basis, run_basis_bits, simulate
+from .rng import child_seeds, child_uniforms, fresh_seed, make_rng
+from .sim import draw_basis_index, outcome_cdf, run_basis_bits, simulate
 
 MODE_SEQUENTIAL = "quantum_sequential"
 MODE_PARALLEL = "quantum_parallel"
@@ -128,7 +128,7 @@ class ReplicationSet:
 
 
 def _replication_set(
-    sample: SampleResults, raws: np.ndarray | list[int], mode: str, seed: int
+    sample: SampleResults, raws: np.ndarray, mode: str, seed: int
 ) -> ReplicationSet:
     """Scale the raw resample totals into estimates with one division."""
     raws = np.asarray(raws, dtype=np.int64)
@@ -145,68 +145,48 @@ def _require_power_of_two(n: int) -> int:
     return n.bit_length() - 1
 
 
-class _QuantumEngine:
-    """Precomputed circuits for repeated quantum replications.
+# draws per call of the uniform kernel, whose temporaries grow with the call
+_DRAW_BLOCK = 2**18
 
-    The resampler statevector is fixed across runs, so it is simulated once
-    and each run only draws fresh measurements from it. The drawn values
-    are classical, so the totaler runs on their basis bits.
+
+def _quantum_raws(sample: SampleResults, B: int, seed: int) -> np.ndarray:
+    """Raw totals of B quantum replications, drawn in blocks and totaled at once.
+
+    The resampler is simulated once. Draw k of replication j looks up the
+    first uniform of child k of ``derive_seed(seed, j)`` in its outcome CDF;
+    the totaler then runs once on every replication's drawn bits, bit-sliced.
     """
-
-    def __init__(self, sample: SampleResults):
-        self.sample = sample
-        self.n = sample.n
-        _require_power_of_two(self.n)
-        if sample.aggregate == "COUNT":
-            qsa = build_qsa(BitDataArray(sample.values))
-            self.totaler = build_counter(CounterSpec.for_controls(self.n))
-            self.acc_width = None
-        else:
-            width = max(1, max(sample.values).bit_length())
-            array = ValueDataArray(sample.values, width)
-            qsa = build_value_qsa(array)
-            # width + log2(n) bits always hold the full resample total
-            self.acc_width = width + _require_power_of_two(self.n)
-            self.totaler = build_ripple_adder(self.acc_width)
-        self.data_register = qsa.register("data")
-        self.qsa_cdf = outcome_cdf(simulate(qsa))
-
-    def _draw_results(self, seed: int) -> list[int]:
-        # one generator per draw: child_uniforms(seed, n) has a fixed cost
-        # above that of the n scalar draws of one replication at small n
-        uniforms = np.array(
-            [make_rng(derive_seed(seed, k)).random() for k in range(self.n)]
-        )
-        indices = draw_basis_index(self.qsa_cdf, uniforms)
-        return register_value(indices, self.data_register).tolist()
-
-    def _total_bits(self, bits: list) -> int | np.ndarray:
-        """Counter total of the n drawn bits: ints, or int arrays for a batch."""
-        counter = self.totaler.register("counter")
-        out = run_basis_bits(self.totaler, bits + [0] * len(counter))
-        return sum(out[qubit] << k for k, qubit in enumerate(counter))
-
-    def _add_on_basis(self, addend: int, acc: int) -> int:
-        index = run_basis(self.totaler, addend | acc << self.acc_width)
-        if register_value(index, self.totaler.register("carry_out")):
+    n = sample.n
+    log_n = _require_power_of_two(n)
+    if sample.aggregate == "COUNT":
+        qsa = build_qsa(BitDataArray(sample.values))
+    else:
+        width = max(1, max(sample.values).bit_length())
+        qsa = build_value_qsa(ValueDataArray(sample.values, width))
+    cdf = outcome_cdf(simulate(qsa))
+    seeds = child_seeds(seed, B)
+    rows = max(1, _DRAW_BLOCK // n)
+    drawn = np.empty((B, n), dtype=np.int64)
+    for j in range(0, B, rows):
+        indices = draw_basis_index(cdf, child_uniforms(seeds[j:j + rows], n))
+        drawn[j:j + rows] = register_value(indices, qsa.register("data"))
+    if sample.aggregate == "COUNT":
+        counter = build_counter(CounterSpec.for_controls(n))
+        register = counter.register("counter")
+        out = run_basis_bits(counter, list(drawn.T) + [0] * len(register))
+        return sum(out[qubit] << k for k, qubit in enumerate(register))
+    # width + log2(n) bits always hold the full resample total
+    acc_width = width + log_n
+    adder = build_ripple_adder(acc_width)
+    (carry_out,) = adder.register("carry_out")
+    acc = [0] * acc_width
+    for column in drawn.T:
+        addend = [column >> k & 1 for k in range(acc_width)]
+        out = run_basis_bits(adder, addend + acc + [0, 0])
+        if out[carry_out].any():
             raise QbsError("accumulator overflow; widths were sized wrong")
-        return register_value(index, self.totaler.register("b"))
-
-    def run(self, seed: int) -> int:
-        """One replication's raw resample total."""
-        drawn = self._draw_results(seed)
-        if self.sample.aggregate == "COUNT":
-            return self._total_bits(drawn)
-        raw = 0
-        for value in drawn:
-            raw = self._add_on_basis(value, raw)
-        return raw
-
-    def run_all(self, seed: int, B: int) -> np.ndarray:
-        """B COUNT replications, each equal to ``run(derive_seed(seed, j))``."""
-        uniforms = child_uniforms(child_seeds(seed, B), self.n)
-        drawn = register_value(draw_basis_index(self.qsa_cdf, uniforms), self.data_register)
-        return self._total_bits(list(drawn.T))
+        acc = [out[qubit] for qubit in adder.register("b")]
+    return sum(bit << k for k, bit in enumerate(acc))
 
 
 def replicate(
@@ -226,12 +206,7 @@ def replicate(
         return classical_bootstrap_oracle(sample, B, seed)
     if mode == MODE_PARALLEL and sample.aggregate != "COUNT":
         raise ValueError("the parallel engine supports COUNT samples only")
-    engine = _QuantumEngine(sample)
-    if mode == MODE_SEQUENTIAL:
-        raws = [engine.run(derive_seed(seed, j)) for j in range(B)]
-    else:
-        raws = engine.run_all(seed, B)
-    return _replication_set(sample, raws, mode, seed)
+    return _replication_set(sample, _quantum_raws(sample, B, seed), mode, seed)
 
 
 def classical_bootstrap_oracle(

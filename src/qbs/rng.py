@@ -12,6 +12,7 @@ the ``SeedSequence`` and ``PCG64`` streams stable (NEP 19).
 
 from __future__ import annotations
 
+import operator
 import secrets
 
 import numpy as np
@@ -137,15 +138,15 @@ def _halves(words: np.ndarray) -> list[np.ndarray]:
 def child_seeds(master, count: int) -> np.ndarray:
     """``s[..., k] == derive_seed(master, k)`` for k < count, as uint64.
 
-    ``master`` is an int, or a uint64 array of masters that each get a
-    last axis of ``count`` children.
+    ``master`` is an int (numpy integers too), or a uint64 array of masters
+    that each get a last axis of ``count`` children.
     """
     if not 0 <= count < 2**32:  # a larger key takes two entropy words
         raise ValueError(f"count must be in 0..2**32-1, got {count}")
     # the master's words, zero-padded to the pool, precede the one key word
     if isinstance(master, np.ndarray):
         master_words = _halves(master[..., None])
-    elif master < 0:
+    elif (master := operator.index(master)) < 0:
         raise ValueError(f"seed must be non-negative, got {master}")
     else:
         master_words = [

@@ -3,12 +3,14 @@
 Everything here recomputes expected behavior through a different route
 than the implementation: dense matrices and index permutations instead of
 axis slicing, ``math.comb`` instead of sampling, direct array lookups,
-a trivial row interpreter for predicates, and the paper's full-width
-parallel circuit that the parallel engine samples block by block.
+a trivial row interpreter for predicates, the paper's full-width
+parallel circuit that the parallel engine samples block by block, and
+quantum replications drawn one generator per draw and summed as ints.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 import operator
 from functools import reduce
@@ -18,7 +20,9 @@ import numpy as np
 from qbs.bootstrap import SampleResults
 from qbs.circuit import Circuit, GateKind
 from qbs.counter import CounterSpec, build_counter
-from qbs.qram import BitDataArray, build_qsa
+from qbs.qram import BitDataArray, ValueDataArray, build_qsa, build_value_qsa
+from qbs.rng import derive_seed, make_rng
+from qbs.sim import outcome_cdf, simulate
 
 _ID2 = np.eye(2, dtype=complex)
 _H2 = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
@@ -120,3 +124,27 @@ def build_parallel_replication_circuit(sample: SampleResults) -> Circuit:
     data_qubits = [k * block + a for k in range(n)]
     circuit.extend(build_counter(spec), data_qubits + list(range(n * block, total)))
     return circuit
+
+
+def reference_raws(sample: SampleResults, seed: int, replications) -> list[int]:
+    """Raw totals of the given quantum replications, computed draw by draw.
+
+    Draw k of replication j is the first uniform of
+    ``make_rng(derive_seed(derive_seed(seed, j), k))``, looked up by bisection
+    in the resampler's outcome CDF; the drawn values sum as Python ints.
+    """
+    if sample.aggregate == "COUNT":
+        qsa = build_qsa(BitDataArray(sample.values))
+    else:
+        width = max(1, max(sample.values).bit_length())
+        qsa = build_value_qsa(ValueDataArray(sample.values, width))
+    cdf = outcome_cdf(simulate(qsa)).tolist()
+    data = qsa.register("data")
+    raws = []
+    for j in replications:
+        total = 0
+        for k in range(sample.n):
+            index = bisect.bisect_right(cdf, make_rng(derive_seed(derive_seed(seed, j), k)).random())
+            total += index >> data.start & (1 << len(data)) - 1
+        raws.append(total)
+    return raws

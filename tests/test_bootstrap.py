@@ -4,9 +4,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qbs.bootstrap import (
+    _DRAW_BLOCK,
+    AGGREGATES,
     MODE_ORACLE,
     MODE_PARALLEL,
     MODE_SEQUENTIAL,
+    MODES,
     SampleResults,
     classical_bootstrap_oracle,
     replicate,
@@ -17,7 +20,22 @@ from qbs.qram import BitDataArray, build_qsa
 from qbs.sim import run_basis, simulate
 from qbs.stats import chi_square_gof, chi_square_two_sample, raw_count_histogram
 
-from helpers import binom_pmf, binom_pmf_vector, build_parallel_replication_circuit
+from helpers import (
+    binom_pmf,
+    binom_pmf_vector,
+    build_parallel_replication_circuit,
+    reference_raws,
+)
+
+
+@st.composite
+def quantum_samples(draw) -> SampleResults:
+    """A power-of-two sample: bits for COUNT, values below 2^10 for SUM/AVG."""
+    aggregate = draw(st.sampled_from(AGGREGATES))
+    n = draw(st.sampled_from([1, 2, 4, 8, 16, 32, 64]))
+    top = 1 if aggregate == "COUNT" else 2**10 - 1
+    values = draw(st.lists(st.integers(0, top), min_size=n, max_size=n))
+    return SampleResults(tuple(values), 2 * n, aggregate)
 
 
 class TestSampleResults:
@@ -125,6 +143,27 @@ class TestSeedStream:
         assert replications.raw_counts() is raws and replications.estimates() is estimates
         assert (estimates == raws / sample.f).all()
 
+    @given(
+        quantum_samples(),
+        st.integers(2, 64),
+        st.integers(0, 2**72) | st.sampled_from([0, 2**64 - 1, 2**64, 2**70 + 5]),
+    )
+    def test_equals_reference(self, sample, B, seed):
+        # both quantum modes run one replication pass; check it against
+        # one generator per draw and Python-int totals, not against itself
+        expected = reference_raws(sample, seed, range(B))
+        modes = [MODE_SEQUENTIAL] + [MODE_PARALLEL] * (sample.aggregate == "COUNT")
+        for mode in modes:
+            assert replicate(sample, B, mode, seed).raw_counts().tolist() == expected
+
+    def test_draw_blocks_continue_the_seed_stream(self):
+        sample = SampleResults(tuple(int(k % 3 == 0) for k in range(256)), 512)
+        assert 256 * 1024 <= _DRAW_BLOCK < 256 * 1100  # so B=1100 spans two blocks
+        full = replicate(sample, 1100, MODE_SEQUENTIAL, seed=19).raw_counts().tolist()
+        head = replicate(sample, 1024, MODE_SEQUENTIAL, seed=19).raw_counts().tolist()
+        assert full[:1024] == head
+        assert full[1020:1031] == reference_raws(sample, 19, range(1020, 1031))
+
 
 class TestParallelReplication:
     def test_constant_data_always_counts_two(self):
@@ -178,19 +217,6 @@ class TestParallelReplication:
                 pushforward[total] += p_one**ones * (1 - p_one) ** (n - ones)
             np.testing.assert_allclose(marginal, pushforward, rtol=0, atol=1e-12)
 
-    @given(
-        st.sampled_from([1, 2, 4, 8, 16, 32, 64]).flatmap(
-            lambda n: st.lists(st.integers(0, 1), min_size=n, max_size=n)
-        ),
-        st.integers(2, 64),
-        st.integers(0, 2**72) | st.sampled_from([0, 2**64 - 1, 2**64, 2**70 + 5]),
-    )
-    def test_equals_sequential(self, bits, B, seed):
-        sample = SampleResults(tuple(bits), population_size=2 * len(bits))
-        parallel = replicate(sample, B, MODE_PARALLEL, seed).raw_counts()
-        sequential = replicate(sample, B, MODE_SEQUENTIAL, seed).raw_counts()
-        assert parallel.tolist() == sequential.tolist()
-
     def test_single_cell_sample(self):
         # n=1 leaves no address qubits; the data qubit alone feeds the counter
         sample = SampleResults((1,), population_size=2)
@@ -220,7 +246,7 @@ class TestClassicalOracle:
 
 class TestReplicate:
     def test_b_below_two_rejected(self, alternating_sample):
-        for mode in (MODE_SEQUENTIAL, MODE_ORACLE):
+        for mode in MODES:
             with pytest.raises(ValueError, match="B >= 2"):
                 replicate(alternating_sample, 1, mode, seed=0)
 
@@ -244,6 +270,13 @@ class TestReplicate:
         assert first.raw_counts().tolist() == second.raw_counts().tolist()
         assert first.estimates().tolist() == second.estimates().tolist()
         assert (first.mode, first.seed) == (second.mode, second.seed)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_numpy_integer_master(self, mode):
+        sample = SampleResults((1, 0, 1, 1), population_size=16)
+        expected = replicate(sample, 4, mode, 7).raw_counts().tolist()
+        for master in (np.uint64(7), np.int64(7)):
+            assert replicate(sample, 4, mode, master).raw_counts().tolist() == expected
 
     @pytest.mark.parametrize("mode", [MODE_SEQUENTIAL, MODE_PARALLEL, MODE_ORACLE])
     def test_raw_count_range(self, mode):

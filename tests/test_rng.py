@@ -30,10 +30,17 @@ class TestChildUniforms:
             for row_master in seeds[:8]
         ]
 
+    @pytest.mark.parametrize("master", [0, 7, 2**63 - 1])
+    def test_numpy_integer_master(self, master):
+        for as_numpy in (np.int64, np.uint64):
+            assert child_seeds(as_numpy(master), 6).tolist() == child_seeds(master, 6).tolist()
+        assert child_seeds(np.uint64(2**64 - 1), 6).tolist() == child_seeds(2**64 - 1, 6).tolist()
+
     def test_negative_master_rejected(self):
         for draw in (child_seeds, child_uniforms):
-            with pytest.raises(ValueError, match="non-negative"):
-                draw(-1, 4)
+            for master in (-1, np.int64(-1)):
+                with pytest.raises(ValueError, match="non-negative"):
+                    draw(master, 4)
 
     def test_count_beyond_one_key_word_rejected(self):
         for draw in (child_seeds, child_uniforms):
