@@ -228,16 +228,27 @@ def _compare(left: Value, op: str, right: Value) -> bool:
     return left >= right
 
 
+def _column_index(columns: Sequence[str], name: str) -> int:
+    try:
+        return list(columns).index(name)
+    except ValueError:
+        raise ValueError(f"unknown column {name!r}") from None
+
+
 def row_matches(
     columns: Sequence[str], row: Sequence[Value], conditions: Sequence[Condition]
 ) -> bool:
     """Conjunction of the atomic predicates; vacuously true when empty."""
     for cond in conditions:
-        try:
-            idx = list(columns).index(cond.column)
-        except ValueError:
-            raise ValueError(f"unknown column {cond.column!r}") from None
-        if not _compare(row[idx], cond.op, cond.value):
+        if not _compare(row[_column_index(columns, cond.column)], cond.op, cond.value):
+            return False
+    return True
+
+
+def _meets(row: Sequence[Value], checks: Sequence[tuple[int, str, Value]]) -> bool:
+    """``row_matches`` over conditions whose columns are already looked up."""
+    for idx, op, value in checks:
+        if not _compare(row[idx], op, value):
             return False
     return True
 
@@ -247,17 +258,20 @@ def tuple_results(sample: DrawnSample, query: QuerySpec) -> SampleResults:
 
     COUNT yields a bit per row. SUM/AVG yield the target value for matching
     rows and 0 otherwise; target values must be non-negative integers so
-    they fit the fixed-width circuit encoding.
+    they fit the fixed-width circuit encoding. Every column the query names
+    is looked up before any row is read, so an unknown one always raises.
     """
     target_idx = None
     if query.target_column is not None:
-        if query.target_column not in sample.columns:
-            raise ValueError(f"unknown column {query.target_column!r}")
-        target_idx = list(sample.columns).index(query.target_column)
+        target_idx = _column_index(sample.columns, query.target_column)
+    checks = [
+        (_column_index(sample.columns, cond.column), cond.op, cond.value)
+        for cond in query.conditions
+    ]
     values: list[int] = []
     matches = 0
     for row in sample.rows:
-        hit = row_matches(sample.columns, row, query.conditions)
+        hit = _meets(row, checks)
         matches += hit
         if query.aggregate == "COUNT":
             values.append(int(hit))

@@ -19,8 +19,11 @@ generator ``derive_seed(derive_seed(seed, j), k)``, looked up in that table
 (``sim.draw_basis_index``); ``rng.child_uniforms`` computes those uniforms
 with array arithmetic, bit for bit, in blocks of at most ``_DRAW_BLOCK``
 draws. The drawn bits are classical, so the totaler runs on basis bits
-(``sim.run_basis_bits``) for all B replications at once, bit-sliced: the
-counter once over the n drawn columns, or the adder once per column.
+for all B replications at once, bit-sliced: each drawn column (each value
+bit of it, for SUM/AVG) is packed into one B-bit Python int, bit j for
+replication j, and ``sim.run_basis_bits`` runs the counter once over the n
+drawn words, or the adder once per drawn column. The counter and the adder
+are built once per shape and kept as ``sim.basis_gates`` pairs.
 All three engines hand their raw totals to ``_replication_set``, which
 scales them into estimates with one division; a ``ReplicationSet`` holds
 both as read-only arrays, int64 totals and float64 estimates.
@@ -29,6 +32,7 @@ both as read-only arrays, int64 totals and float64 estimates.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -37,7 +41,7 @@ from .counter import CounterSpec, build_counter, build_ripple_adder
 from .errors import QbsError
 from .qram import BitDataArray, ValueDataArray, build_qsa, build_value_qsa
 from .rng import child_seeds, child_uniforms, fresh_seed, make_rng
-from .sim import draw_basis_index, outcome_cdf, run_basis_bits, simulate
+from .sim import basis_gates, draw_basis_index, outcome_cdf, run_basis_bits, simulate
 
 MODE_SEQUENTIAL = "quantum_sequential"
 MODE_PARALLEL = "quantum_parallel"
@@ -149,12 +153,43 @@ def _require_power_of_two(n: int) -> int:
 _DRAW_BLOCK = 2**18
 
 
+# The totalers are built once per shape and kept as gate pairs; no caller
+# ever sees a cached circuit, so none can change one.
+@lru_cache(maxsize=None)
+def _counter_gates(n: int) -> tuple[tuple, range]:
+    """Gate pairs of the n-control counter, and its counter register."""
+    counter = build_counter(CounterSpec.for_controls(n))
+    return basis_gates(counter), counter.register("counter")
+
+
+@lru_cache(maxsize=None)
+def _adder_gates(width: int) -> tuple[tuple, range, int]:
+    """Gate pairs of the ripple adder, its B register and its carry-out qubit."""
+    adder = build_ripple_adder(width)
+    (carry_out,) = adder.register("carry_out")
+    return basis_gates(adder), adder.register("b"), carry_out
+
+
+def _pack(bits: np.ndarray) -> list[int]:
+    """Columns of a (B, m) 0/1 array as m words: bit j of word k is ``bits[j, k]``."""
+    packed = np.packbits(bits, axis=0, bitorder="little")
+    return [int.from_bytes(column.tobytes(), "little") for column in packed.T]
+
+
+def _unpack(words: list[int], B: int) -> np.ndarray:
+    """The B totals whose bit k is, in replication j, bit j of ``words[k]``."""
+    size = (B + 7) // 8
+    packed = np.frombuffer(b"".join(word.to_bytes(size, "little") for word in words), np.uint8)
+    bits = np.unpackbits(packed.reshape(len(words), size), axis=1, count=B, bitorder="little")
+    return (bits.astype(np.int64) << np.arange(len(words))[:, None]).sum(axis=0)
+
+
 def _quantum_raws(sample: SampleResults, B: int, seed: int) -> np.ndarray:
     """Raw totals of B quantum replications, drawn in blocks and totaled at once.
 
     The resampler is simulated once. Draw k of replication j looks up the
     first uniform of child k of ``derive_seed(seed, j)`` in its outcome CDF;
-    the totaler then runs once on every replication's drawn bits, bit-sliced.
+    the totaler then runs once on every replication's drawn bits, packed.
     """
     n = sample.n
     log_n = _require_power_of_two(n)
@@ -171,22 +206,22 @@ def _quantum_raws(sample: SampleResults, B: int, seed: int) -> np.ndarray:
         indices = draw_basis_index(cdf, child_uniforms(seeds[j:j + rows], n))
         drawn[j:j + rows] = register_value(indices, qsa.register("data"))
     if sample.aggregate == "COUNT":
-        counter = build_counter(CounterSpec.for_controls(n))
-        register = counter.register("counter")
-        out = run_basis_bits(counter, list(drawn.T) + [0] * len(register))
-        return sum(out[qubit] << k for k, qubit in enumerate(register))
+        gates, register = _counter_gates(n)
+        out = run_basis_bits(gates, _pack(drawn) + [0] * len(register), B)
+        return _unpack(out[register.start:register.stop], B)
     # width + log2(n) bits always hold the full resample total
     acc_width = width + log_n
-    adder = build_ripple_adder(acc_width)
-    (carry_out,) = adder.register("carry_out")
+    gates, register, carry_out = _adder_gates(acc_width)
+    # planes[k][j]: bit k of drawn column j, for every replication
+    planes = [_pack(drawn >> k & 1) for k in range(width)]
+    padding = [0] * (acc_width - width)
     acc = [0] * acc_width
-    for column in drawn.T:
-        addend = [column >> k & 1 for k in range(acc_width)]
-        out = run_basis_bits(adder, addend + acc + [0, 0])
-        if out[carry_out].any():
+    for column in zip(*planes):
+        out = run_basis_bits(gates, list(column) + padding + acc + [0, 0], B)
+        if out[carry_out]:
             raise QbsError("accumulator overflow; widths were sized wrong")
-        acc = [out[qubit] for qubit in adder.register("b")]
-    return sum(bit << k for k, bit in enumerate(acc))
+        acc = out[register.start:register.stop]
+    return _unpack(acc, B)
 
 
 def replicate(

@@ -101,9 +101,14 @@ def build_value_qram(data: ValueDataArray) -> Circuit:
     The data register holds the value with its least significant bit on the
     lowest data qubit; all set bits of one value share a single X sandwich.
     """
+    circuit = Circuit(data.address_width + data.width, registers=_lookup_registers(data))
+    _append_lookup(circuit, data)
+    return circuit
+
+
+def _append_lookup(circuit: Circuit, data: ValueDataArray) -> None:
+    """Append the lookup gates of ``build_value_qram`` to ``circuit``."""
     a = data.address_width
-    w = data.width
-    circuit = Circuit(a + w, registers=_lookup_registers(data))
     address_qubits = tuple(range(a))
     for address, value in enumerate(data.values):
         if value == 0:
@@ -111,12 +116,11 @@ def build_value_qram(data: ValueDataArray) -> Circuit:
         zeros = _address_zeros(address, a)
         for q in zeros:
             circuit.x(q)
-        for k in range(w):
+        for k in range(data.width):
             if (value >> k) & 1:
                 circuit.append(controlled_x(address_qubits, a + k))
         for q in zeros:
             circuit.x(q)
-    return circuit
 
 
 def build_qsa(data: BitDataArray) -> Circuit:
@@ -135,5 +139,5 @@ def build_value_qsa(data: ValueDataArray) -> Circuit:
     qsa = Circuit(a + data.width, registers=_lookup_registers(data))
     for q in range(a):
         qsa.h(q)
-    qsa.extend(build_value_qram(data), range(a + data.width))
+    _append_lookup(qsa, data)
     return qsa

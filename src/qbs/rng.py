@@ -7,13 +7,18 @@ counter-indexed hash of the master seed, so one master seed pins down the
 entire run on any platform. ``child_seeds`` computes many child seeds, and
 ``child_uniforms`` the first uniform of many child generators, at once with
 array arithmetic, bit for bit what building each would give; numpy keeps
-the ``SeedSequence`` and ``PCG64`` streams stable (NEP 19).
+the ``SeedSequence`` and ``PCG64`` streams stable (NEP 19). The hash runs
+on uint32 arrays, one element per child, whose arithmetic wraps modulo
+2**32 as numpy's C code does; entropy words that every child shares stay
+Python ints and are masked. The hash constants never depend on the data,
+so they are computed once.
 """
 
 from __future__ import annotations
 
 import operator
 import secrets
+from functools import lru_cache
 
 import numpy as np
 
@@ -48,26 +53,37 @@ _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT = (2549297995355413924, 4865540595714422341)
 
 
-def _hash_consts(init: int, mult: int):
-    """(xor, multiply) constants of successive hash calls: the walk numpy's
-    in-out ``hash_const`` takes, which never depends on the data."""
+@lru_cache(maxsize=None)
+def _hash_consts(init: int, mult: int, count: int) -> tuple[tuple[int, int], ...]:
+    """The first ``count`` (xor, multiply) constants of successive hash calls:
+    the walk numpy's in-out ``hash_const`` takes, which never depends on the data."""
+    consts = []
     const = init
-    while True:
+    for _ in range(count):
         following = const * mult & _MASK32
-        yield const, following
+        consts.append((const, following))
         const = following
+    return tuple(consts)
 
 
-def _hashmix(value, consts):
+def _mul32(const: int, value):
+    """``const * value`` modulo 2**32 for a Python int or a uint32 array."""
+    if isinstance(value, int):
+        return const * value & _MASK32
+    return value * const  # uint32 arithmetic wraps
+
+
+def _hashmix(value, xor: int, mult: int):
     """numpy's ``hashmix`` on a Python int or a uint32 array."""
-    xor, mult = next(consts)
-    value = (value ^ xor) * mult & _MASK32
+    value = _mul32(mult, value ^ xor)
     return value ^ value >> 16
 
 
 def _mix(x, y):
-    """numpy's ``mix``: wraps modulo 2**32 for Python ints and uint32 arrays."""
-    result = ((_MIX_MULT_L * x & _MASK32) - (_MIX_MULT_R * y & _MASK32)) & _MASK32
+    """numpy's ``mix`` on Python ints and uint32 arrays, modulo 2**32."""
+    result = _mul32(_MIX_MULT_L, x) - _mul32(_MIX_MULT_R, y)
+    if isinstance(result, int):
+        result &= _MASK32
     return result ^ result >> 16
 
 
@@ -78,24 +94,24 @@ def _pool(words: list) -> list:
     whichever their inputs were, so words shared by every child are mixed
     once as ints and the rest column-wise.
     """
-    consts = _hash_consts(_INIT_A, _MULT_A)
+    consts = iter(_hash_consts(_INIT_A, _MULT_A, _POOL_SIZE * max(len(words), _POOL_SIZE)))
     padded = words + [0] * (_POOL_SIZE - len(words))
-    pool = [_hashmix(word, consts) for word in padded[:_POOL_SIZE]]
+    pool = [_hashmix(word, *next(consts)) for word in padded[:_POOL_SIZE]]
     for src in range(_POOL_SIZE):
         for dst in range(_POOL_SIZE):
             if dst != src:
-                pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts))
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], *next(consts)))
     for word in words[_POOL_SIZE:]:
         for dst in range(_POOL_SIZE):
-            pool[dst] = _mix(pool[dst], _hashmix(word, consts))
+            pool[dst] = _mix(pool[dst], _hashmix(word, *next(consts)))
     return pool
 
 
 def _state64(pool: list, n_words: int) -> list[np.ndarray]:
     """``SeedSequence.generate_state(n_words, np.uint64)`` as uint64 columns."""
-    consts = _hash_consts(_INIT_B, _MULT_B)
+    consts = _hash_consts(_INIT_B, _MULT_B, 2 * n_words)
     halves = [
-        np.asarray(_hashmix(pool[i % _POOL_SIZE], consts), dtype=np.uint64)
+        np.asarray(_hashmix(pool[i % _POOL_SIZE], *consts[i]), dtype=np.uint64)
         for i in range(2 * n_words)
     ]
     # little-endian: the first 32-bit word is the low half

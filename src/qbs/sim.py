@@ -7,8 +7,11 @@ the basis index). Controlled NOTs swap the two target slices inside the
 all-controls-on subspace, so no gate matrix is ever expanded.
 
 A circuit of X/CX/CCX/MCX gates maps each basis state to one basis state,
-so ``run_basis_bits`` evaluates it on basis bits (one state, or a batch
-bit-sliced) and ``run_basis`` on a basis index, with no statevector.
+so it runs on basis bits with no statevector. ``basis_gates`` reduces it to
+``(controls, target)`` pairs, and ``run_basis_bits`` runs those on packed
+words: bit j of word q is qubit q of batch state j, so one pass evaluates a
+whole batch (Biham's bit-slicing). ``run_basis`` is the batch of one, on a
+basis index.
 """
 
 from __future__ import annotations
@@ -120,21 +123,34 @@ def simulate(circuit: Circuit) -> StateVector:
     return StateVector(state, n)
 
 
-def run_basis_bits(circuit: Circuit, bits: list) -> list:
-    """Run a reversible circuit on basis bits, ``bits[q]`` for qubit q.
+def basis_gates(circuit: Circuit) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """The gates of a reversible circuit as ``(controls, target)`` pairs.
 
-    Each X/CX/CCX/MCX gate does ``bits[target] ^= AND(bits[controls])``. A
-    bit is an int 0/1, or an int array that holds one basis state per
-    element, bit-sliced. Returns a new list; ``H`` raises ``ValueError``.
+    This is the form ``run_basis_bits`` runs; ``H`` raises ``ValueError``.
     """
+    if any(gate.kind is GateKind.H for gate in circuit.gates):
+        raise ValueError("basis runs take X/CX/CCX/MCX gates only; simulate circuits with H")
+    return tuple((gate.controls, gate.target) for gate in circuit.gates)
+
+
+def run_basis_bits(gates, bits: list[int], batch: int = 1) -> list[int]:
+    """Run ``basis_gates`` pairs on ``batch`` basis states packed into words.
+
+    ``bits[q]`` is a non-negative int whose bit j is qubit q of state j.
+    Each pair does ``bits[target] ^= AND(bits[controls])``, starting the
+    AND from the all-ones word, so a gate without controls (X) flips the
+    target in every state and no bit at or above ``batch`` is ever set.
+    Returns a new list.
+    """
+    ones = (1 << batch) - 1
+    if any(word < 0 or word > ones for word in bits):
+        raise ValueError(f"basis words must lie in 0..2**{batch}-1")
     bits = list(bits)
-    for gate in circuit.gates:
-        if gate.kind is GateKind.H:
-            raise ValueError("basis runs take X/CX/CCX/MCX gates only; simulate circuits with H")
-        on = 1
-        for control in gate.controls:
-            on = on & bits[control]
-        bits[gate.target] = bits[gate.target] ^ on
+    for controls, target in gates:
+        on = ones
+        for control in controls:
+            on &= bits[control]
+        bits[target] ^= on
     return bits
 
 
@@ -143,7 +159,7 @@ def run_basis(circuit: Circuit, index: int) -> int:
     n = circuit.num_qubits
     if not 0 <= index < (1 << n):
         raise ValueError(f"index {index} out of range for {n} qubits")
-    bits = run_basis_bits(circuit, [index >> qubit & 1 for qubit in range(n)])
+    bits = run_basis_bits(basis_gates(circuit), [index >> qubit & 1 for qubit in range(n)])
     return sum(bit << qubit for qubit, bit in enumerate(bits))
 
 

@@ -133,6 +133,15 @@ class TestTupleResults:
         with pytest.raises(ValueError, match="unknown column"):
             tuple_results(sample, QuerySpec("COUNT", (Condition("nope", "=", 1),)))
 
+    def test_unknown_column_after_a_condition_no_row_meets(self):
+        sample = self._sample([(0,), (0,)], columns=("a",))
+        for query in (
+            QuerySpec("COUNT", (Condition("a", "=", 1), Condition("zzz", "=", 1))),
+            QuerySpec("SUM", (Condition("a", "=", 1),), target_column="zzz"),
+        ):
+            with pytest.raises(ValueError, match="unknown column 'zzz'"):
+                tuple_results(sample, query)
+
     def test_type_mismatch(self):
         sample = self._sample([("x",)])
         with pytest.raises(ValueError, match="type mismatch"):
@@ -343,6 +352,15 @@ class TestAssess:
         query = QuerySpec("COUNT", (Condition("ghost", "=", 1),))
         with pytest.raises(PipelineError, match="tuple_results") as exc_info:
             assess(table, query, n=4, B=10, mode=MODE_ORACLE, seed=0)
+        assert exc_info.value.stage == "tuple_results"
+
+    @pytest.mark.parametrize("mode", ["quantum_sequential", MODE_ORACLE])
+    def test_unknown_column_behind_a_false_condition(self, make_flag_table, mode):
+        # no row has flag = 1, so only the up-front lookup can catch "zzz"
+        table = make_flag_table(8, 0)
+        query = QuerySpec("COUNT", (Condition("flag", "=", 1), Condition("zzz", "=", 1)))
+        with pytest.raises(PipelineError, match="zzz") as exc_info:
+            assess(table, query, n=4, B=10, mode=mode, seed=0)
         assert exc_info.value.stage == "tuple_results"
 
     def test_bad_alpha_tagged_with_stage(self, make_flag_table):

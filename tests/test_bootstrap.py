@@ -15,7 +15,7 @@ from qbs.bootstrap import (
     replicate,
 )
 from qbs.circuit import register_value
-from qbs.counter import CounterSpec, build_counter
+from qbs.counter import CounterSpec, build_counter, build_ripple_adder
 from qbs.qram import BitDataArray, build_qsa
 from qbs.sim import run_basis, simulate
 from qbs.stats import chi_square_gof, chi_square_two_sample, raw_count_histogram
@@ -277,6 +277,22 @@ class TestReplicate:
         expected = replicate(sample, 4, mode, 7).raw_counts().tolist()
         for master in (np.uint64(7), np.int64(7)):
             assert replicate(sample, 4, mode, master).raw_counts().tolist() == expected
+
+    def test_built_totalers_do_not_reach_later_runs(self):
+        count = SampleResults((0, 1, 1, 0, 1, 0, 0, 1), population_size=16)
+        total = SampleResults((3, 0, 5, 7, 1, 2, 6, 4), population_size=16, aggregate="SUM")
+
+        def raws():
+            return [
+                replicate(s, 50, MODE_SEQUENTIAL, seed=9).raw_counts().tolist()
+                for s in (count, total)
+            ]
+
+        before = raws()
+        # the shapes those runs used: an 8-control counter, a 3 + 3 bit adder
+        build_counter(CounterSpec.for_controls(8)).x(8).x(9)
+        build_ripple_adder(6).x(6).cx(0, 12)
+        assert raws() == before
 
     @pytest.mark.parametrize("mode", [MODE_SEQUENTIAL, MODE_PARALLEL, MODE_ORACLE])
     def test_raw_count_range(self, mode):

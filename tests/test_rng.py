@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -46,3 +48,12 @@ class TestChildUniforms:
         for draw in (child_seeds, child_uniforms):
             with pytest.raises(ValueError, match="count"):
                 draw(7, 2**32)
+
+    @pytest.mark.parametrize("master", [0, 2**64 - 1, 2**70 + 5, "array"])
+    def test_no_warning(self, master):
+        if master == "array":
+            master = np.array([0, 1, 2**63, 2**64 - 1], dtype=np.uint64)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            child_seeds(master, 9)
+            child_uniforms(master, 9)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qbs.circuit import Circuit, GateKind, GateOp, bitstring_of
@@ -11,6 +11,7 @@ from qbs.rng import make_rng
 from qbs.sim import (
     CountsTable,
     apply_gate,
+    basis_gates,
     draw_basis_index,
     outcome_cdf,
     outcome_probabilities,
@@ -226,15 +227,33 @@ class TestRunBasis:
         expected = int(np.argmax(probs))
         assert np.isclose(probs[expected], 1.0, atol=1e-12)
         assert run_basis(circ, pattern) == expected
-        # a batch of patterns as int arrays, one basis state per element
-        patterns = (pattern + np.arange(8) * 37) % (1 << n)
-        bits = [patterns >> q & 1 for q in range(n)]
-        out = run_basis_bits(circ, bits)
-        for k, batch_pattern in enumerate(patterns.tolist()):
-            prep = basis_prep(n, batch_pattern)
-            prep.extend(circ, range(n))
-            index = int(np.argmax(simulate(prep).probabilities()))
-            assert [int(bit[k]) for bit in out] == [index >> q & 1 for q in range(n)]
+
+    @pytest.mark.parametrize("batch", [1, 7, 8, 63, 64, 65, 1000])
+    @settings(max_examples=30)
+    @given(
+        circuits(max_qubits=10, max_gates=30, classical_only=True),
+        st.lists(st.integers(0, 9), min_size=1, max_size=3),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_packed_words_match_run_basis(self, batch, circ, x_targets, pattern_seed):
+        n = circ.num_qubits
+        for target in x_targets:  # X gates flip with the all-ones word
+            circ.x(target % n)
+        patterns = make_rng(pattern_seed).integers(0, 1 << n, size=batch).tolist()
+        words = [
+            sum((pattern >> q & 1) << j for j, pattern in enumerate(patterns)) for q in range(n)
+        ]
+        out = run_basis_bits(basis_gates(circ), words, batch)
+        assert all(0 <= word < 1 << batch for word in out)
+        for j, pattern in enumerate(patterns):
+            state = sum((word >> j & 1) << q for q, word in enumerate(out))
+            assert state == run_basis(circ, pattern)
+
+    def test_words_beyond_the_batch_rejected(self):
+        gates = basis_gates(Circuit(2).x(0))
+        for words in ([4, 0], [0, -1]):
+            with pytest.raises(ValueError, match="basis words"):
+                run_basis_bits(gates, words, batch=2)
 
     def test_rejects_hadamard(self):
         with pytest.raises(ValueError, match="H"):
