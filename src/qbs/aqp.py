@@ -77,9 +77,11 @@ def parse_query(payload: dict) -> QuerySpec:
     """Build a QuerySpec from its JSON form."""
     if not isinstance(payload, dict):
         raise ValueError("query must be a JSON object")
+    raw_conditions = payload.get("conditions", [])
+    if not isinstance(raw_conditions, list) or not all(isinstance(c, dict) for c in raw_conditions):
+        raise ValueError("query field 'conditions' must be a list of objects")
     conditions = tuple(
-        Condition(str(c["column"]), str(c["op"]), c["value"])
-        for c in payload.get("conditions", ())
+        Condition(str(c["column"]), str(c["op"]), c["value"]) for c in raw_conditions
     )
     return QuerySpec(
         aggregate=str(payload.get("aggregate", "")).upper(),
@@ -151,9 +153,14 @@ def _load_json_table(path: Path) -> TableData:
         payload = json.load(fh)
     if not isinstance(payload, dict) or "columns" not in payload or "rows" not in payload:
         raise ValueError(f"{path}: expected an object with 'columns' and 'rows'")
+    for field in ("columns", "rows"):
+        if not isinstance(payload[field], list):
+            raise ValueError(f"{path}: field {field!r} must be a list")
     columns = tuple(str(c) for c in payload["columns"])
     rows = []
     for i, row in enumerate(payload["rows"]):
+        if not isinstance(row, list):
+            raise ValueError(f"{path}: field 'rows' entry {i} must be a list, got {row!r}")
         if len(row) != len(columns):
             raise ValueError(f"{path}: row {i} has {len(row)} fields, expected {len(columns)}")
         for v in row:

@@ -14,10 +14,10 @@ them. Three interchangeable engines produce the same distribution:
 
 Both quantum modes therefore run one pass, ``_quantum_raws``. It simulates
 the resampler once and keeps its cumulative outcome weights
-(``sim.outcome_cdf``). Draw k of replication j is the first uniform of
-generator ``derive_seed(derive_seed(seed, j), k)``, looked up in that table
-(``sim.draw_basis_index``); ``rng.child_uniforms`` computes those uniforms
-with array arithmetic, bit for bit, in blocks of at most ``_DRAW_BLOCK``
+(``sim.outcome_cdf``). Each draw is one measurement, an i.i.d. shot, so
+one generator, ``make_rng(seed)``, serves the whole call: draw k of
+replication j is uniform ``j*n + k`` of its stream, looked up in that
+table (``sim.draw_basis_index``), in blocks of at most ``_DRAW_BLOCK``
 draws. The drawn bits are classical, so the totaler runs on basis bits
 for all B replications at once, bit-sliced: each drawn column (each value
 bit of it, for SUM/AVG) is packed into one B-bit Python int, bit j for
@@ -40,7 +40,7 @@ from .circuit import register_value
 from .counter import CounterSpec, build_counter, build_ripple_adder
 from .errors import QbsError
 from .qram import BitDataArray, ValueDataArray, build_qsa, build_value_qsa
-from .rng import child_seeds, child_uniforms, fresh_seed, make_rng
+from .rng import fresh_seed, make_rng
 from .sim import basis_gates, draw_basis_index, outcome_cdf, run_basis_bits, simulate
 
 MODE_SEQUENTIAL = "quantum_sequential"
@@ -149,7 +149,7 @@ def _require_power_of_two(n: int) -> int:
     return n.bit_length() - 1
 
 
-# draws per call of the uniform kernel, whose temporaries grow with the call
+# draws per block, whose temporaries grow with the block
 _DRAW_BLOCK = 2**18
 
 
@@ -187,9 +187,9 @@ def _unpack(words: list[int], B: int) -> np.ndarray:
 def _quantum_raws(sample: SampleResults, B: int, seed: int) -> np.ndarray:
     """Raw totals of B quantum replications, drawn in blocks and totaled at once.
 
-    The resampler is simulated once. Draw k of replication j looks up the
-    first uniform of child k of ``derive_seed(seed, j)`` in its outcome CDF;
-    the totaler then runs once on every replication's drawn bits, packed.
+    The resampler is simulated once. Draw k of replication j looks up
+    uniform ``j*n + k`` of ``make_rng(seed)`` in its outcome CDF; the
+    totaler then runs once on every replication's drawn bits, packed.
     """
     n = sample.n
     log_n = _require_power_of_two(n)
@@ -199,11 +199,11 @@ def _quantum_raws(sample: SampleResults, B: int, seed: int) -> np.ndarray:
         width = max(1, max(sample.values).bit_length())
         qsa = build_value_qsa(ValueDataArray(sample.values, width))
     cdf = outcome_cdf(simulate(qsa))
-    seeds = child_seeds(seed, B)
+    rng = make_rng(seed)
     rows = max(1, _DRAW_BLOCK // n)
     drawn = np.empty((B, n), dtype=np.int64)
     for j in range(0, B, rows):
-        indices = draw_basis_index(cdf, child_uniforms(seeds[j:j + rows], n))
+        indices = draw_basis_index(cdf, rng.random((min(rows, B - j), n)))
         drawn[j:j + rows] = register_value(indices, qsa.register("data"))
     if sample.aggregate == "COUNT":
         gates, register = _counter_gates(n)

@@ -66,6 +66,9 @@ def load_data_array(path: str | Path) -> BitDataArray | ValueDataArray:
         payload = json.load(fh)
     if not isinstance(payload, dict):
         raise ValueError(f"{path}: expected a JSON object")
+    for field in ("bits", "values"):
+        if field in payload and not isinstance(payload[field], list):
+            raise ValueError(f"{path}: field {field!r} must be a list")
     if "bits" in payload:
         return BitDataArray(tuple(payload["bits"]))
     if "values" in payload:

@@ -5,7 +5,7 @@ than the implementation: dense matrices and index permutations instead of
 axis slicing, ``math.comb`` instead of sampling, direct array lookups,
 a trivial row interpreter for predicates, the paper's full-width
 parallel circuit that the parallel engine samples block by block, and
-quantum replications drawn one generator per draw and summed as ints.
+quantum replications drawn one scalar uniform at a time and summed as ints.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from qbs.bootstrap import SampleResults
 from qbs.circuit import Circuit, GateKind
 from qbs.counter import CounterSpec, build_counter
 from qbs.qram import BitDataArray, ValueDataArray, build_qsa, build_value_qsa
-from qbs.rng import derive_seed, make_rng
+from qbs.rng import make_rng
 from qbs.sim import outcome_cdf, simulate
 
 _ID2 = np.eye(2, dtype=complex)
@@ -129,9 +129,10 @@ def build_parallel_replication_circuit(sample: SampleResults) -> Circuit:
 def reference_raws(sample: SampleResults, seed: int, replications) -> list[int]:
     """Raw totals of the given quantum replications, computed draw by draw.
 
-    Draw k of replication j is the first uniform of
-    ``make_rng(derive_seed(derive_seed(seed, j), k))``, looked up by bisection
-    in the resampler's outcome CDF; the drawn values sum as Python ints.
+    One generator, ``make_rng(seed)``, yields scalar uniforms in
+    replication-major order: draw k of replication j is uniform ``j*n + k``.
+    Each is looked up by bisection in the resampler's outcome CDF, and the
+    drawn values sum as Python ints.
     """
     if sample.aggregate == "COUNT":
         qsa = build_qsa(BitDataArray(sample.values))
@@ -140,11 +141,10 @@ def reference_raws(sample: SampleResults, seed: int, replications) -> list[int]:
         qsa = build_value_qsa(ValueDataArray(sample.values, width))
     cdf = outcome_cdf(simulate(qsa)).tolist()
     data = qsa.register("data")
-    raws = []
-    for j in replications:
-        total = 0
-        for k in range(sample.n):
-            index = bisect.bisect_right(cdf, make_rng(derive_seed(derive_seed(seed, j), k)).random())
-            total += index >> data.start & (1 << len(data)) - 1
-        raws.append(total)
-    return raws
+    mask = (1 << len(data)) - 1
+    rng = make_rng(seed)
+    totals = []
+    for _ in range(max(replications) + 1):
+        indices = [bisect.bisect_right(cdf, rng.random()) for _ in range(sample.n)]
+        totals.append(sum(index >> data.start & mask for index in indices))
+    return [totals[j] for j in replications]

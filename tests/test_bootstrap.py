@@ -122,12 +122,12 @@ class TestSeedStream:
         "sample, B, mode, seed, expected",
         [
             (SampleResults((1, 0, 1, 1, 0, 0, 1, 0), population_size=32),
-             8, MODE_SEQUENTIAL, 11, [6, 2, 3, 3, 3, 3, 3, 6]),
+             8, MODE_SEQUENTIAL, 11, [2, 5, 6, 3, 3, 2, 4, 1]),
             (SampleResults((3, 0, 5, 2), population_size=16, aggregate="SUM"),
-             8, MODE_SEQUENTIAL, 12, [7, 13, 7, 8, 7, 11, 8, 7]),
+             8, MODE_SEQUENTIAL, 12, [7, 5, 13, 6, 9, 18, 13, 10]),
             (SampleResults((1, 0, 1, 1), population_size=16),
              # the sequential engine's replications for this sample and seed
-             16, MODE_PARALLEL, 13, [2, 2, 3, 2, 3, 4, 3, 4, 4, 3, 3, 4, 3, 3, 2, 4]),
+             16, MODE_PARALLEL, 13, [4, 2, 4, 3, 3, 3, 3, 2, 3, 3, 4, 3, 4, 4, 2, 3]),
             (SampleResults((1, 0, 1, 1, 0, 0, 1, 0), population_size=32),
              8, MODE_ORACLE, 14, [5, 4, 5, 4, 4, 3, 5, 6]),
         ],
@@ -159,10 +159,12 @@ class TestSeedStream:
     def test_draw_blocks_continue_the_seed_stream(self):
         sample = SampleResults(tuple(int(k % 3 == 0) for k in range(256)), 512)
         assert 256 * 1024 <= _DRAW_BLOCK < 256 * 1100  # so B=1100 spans two blocks
-        full = replicate(sample, 1100, MODE_SEQUENTIAL, seed=19).raw_counts().tolist()
-        head = replicate(sample, 1024, MODE_SEQUENTIAL, seed=19).raw_counts().tolist()
-        assert full[:1024] == head
-        assert full[1020:1031] == reference_raws(sample, 19, range(1020, 1031))
+        expected = reference_raws(sample, 19, range(1020, 1031))
+        for mode in (MODE_SEQUENTIAL, MODE_PARALLEL):
+            full = replicate(sample, 1100, mode, seed=19).raw_counts().tolist()
+            head = replicate(sample, 1024, mode, seed=19).raw_counts().tolist()
+            assert full[:1024] == head
+            assert full[1020:1031] == expected
 
 
 class TestParallelReplication:
@@ -270,6 +272,13 @@ class TestReplicate:
         assert first.raw_counts().tolist() == second.raw_counts().tolist()
         assert first.estimates().tolist() == second.estimates().tolist()
         assert (first.mode, first.seed) == (second.mode, second.seed)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_negative_master_rejected(self, mode):
+        sample = SampleResults((1, 0, 1, 1), population_size=16)
+        for master in (-1, np.int64(-1)):
+            with pytest.raises(ValueError, match="non-negative"):
+                replicate(sample, 4, mode, master)
 
     @pytest.mark.parametrize("mode", MODES)
     def test_numpy_integer_master(self, mode):

@@ -34,17 +34,17 @@ def _pinned_csv(se_b: str, ci: str, mode: str, rows: str) -> str:
 
 CSV_REPLICATIONS = {
     "sequential": _pinned_csv(
-        "320.4349722308279",
-        "-27.06862627597127..1027.0686262759714",
+        "377.9644730092272",
+        "-121.6962342880289..1121.6962342880288",
         "quantum_sequential",
-        "0,1,500.0 1,1,500.0 2,1,500.0 3,2,1000.0 4,1,500.0 5,1,500.0 6,2,1000.0 7,0,0.0",
+        "0,1,500.0 1,1,500.0 2,2,1000.0 3,0,0.0 4,2,1000.0 5,1,500.0 6,1,500.0 7,0,0.0",
     ),
     # the parallel engine's replications equal the sequential engine's
     "parallel": _pinned_csv(
-        "320.4349722308279",
-        "-27.06862627597127..1027.0686262759714",
+        "377.9644730092272",
+        "-121.6962342880289..1121.6962342880288",
         "quantum_parallel",
-        "0,1,500.0 1,1,500.0 2,1,500.0 3,2,1000.0 4,1,500.0 5,1,500.0 6,2,1000.0 7,0,0.0",
+        "0,1,500.0 1,1,500.0 2,2,1000.0 3,0,0.0 4,2,1000.0 5,1,500.0 6,1,500.0 7,0,0.0",
     ),
     "oracle": _pinned_csv(
         "258.77458475338284",
@@ -140,6 +140,12 @@ class TestQramTest:
         path = tmp_path / "values.json"
         path.write_text(json.dumps({"values": [1, 2], "width": 2}))
         assert main(["qram-test", str(path)]) == 2
+
+    def test_non_list_bits_rejected(self, tmp_path, capsys):
+        path = tmp_path / "bits.json"
+        path.write_text(json.dumps({"bits": 5}))
+        assert main(["qram-test", str(path)]) == 2
+        assert "'bits' must be a list" in capsys.readouterr().err
 
     def test_out_file(self, alternating_bits_file, tmp_path):
         target = tmp_path / "report.json"
@@ -346,6 +352,19 @@ class TestAssess:
         args = ["assess", flag_table_file, str(query), "-n", "4", "-B", "10"]
         assert main(args + ["--mode", "parallel", "--seed", "1"]) == 2
         assert "COUNT" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("conditions", [["flag"], 5], ids=["string-entry", "number"])
+    def test_malformed_conditions_rejected(self, flag_table_file, tmp_path, capsys, conditions):
+        query = tmp_path / "query.json"
+        query.write_text(json.dumps({"aggregate": "COUNT", "conditions": conditions}))
+        assert main(["assess", flag_table_file, str(query), "-n", "4", "-B", "8"]) == 2
+        assert "query field 'conditions" in capsys.readouterr().err
+
+    def test_non_list_table_row_rejected(self, count_query_file, tmp_path, capsys):
+        table = tmp_path / "table.json"
+        table.write_text(json.dumps({"columns": ["a"], "rows": [1, 2]}))
+        assert main(["assess", str(table), count_query_file, "-n", "1", "-B", "2"]) == 2
+        assert "field 'rows' entry 0 must be a list" in capsys.readouterr().err
 
     @pytest.mark.parametrize("mode", ["sequential", "parallel", "oracle"])
     def test_csv_replications(self, flag_table_file, count_query_file, mode, capsys):
