@@ -12,18 +12,18 @@ them. Three interchangeable engines produce the same distribution:
 * ``classical_oracle``: plain seeded resampling, the reference the
   quantum engines are validated against.
 
-Both quantum modes therefore run one pass, ``_quantum_raws``. It simulates
-the resampler once and keeps its cumulative outcome weights
-(``sim.outcome_cdf``). Each draw is one measurement, an i.i.d. shot, so
-one generator, ``make_rng(seed)``, serves the whole call: draw k of
-replication j is uniform ``j*n + k`` of its stream, looked up in that
-table (``sim.draw_basis_index``), in blocks of at most ``_DRAW_BLOCK``
-draws. The drawn bits are classical, so the totaler runs on basis bits
-for all B replications at once, bit-sliced: each drawn column (each value
-bit of it, for SUM/AVG) is packed into one B-bit Python int, bit j for
-replication j, and ``sim.run_basis_bits`` runs the counter once over the n
-drawn words, or the adder once per drawn column. The counter and the adder
-are built once per shape and kept as ``sim.basis_gates`` pairs.
+Both quantum modes therefore run one pass, ``_quantum_raws``. The lookup
+only permutes basis states, so a measurement of the resampler is a uniform
+address with the data it reads: one packed basis run of the lookup's gate
+pairs (``qram.lookup_gates``) over all n addresses gives the n equally
+likely outcomes, with no statevector. Draws are i.i.d. shots, so one
+generator, ``make_rng(seed)``, serves the call: draw k of replication j
+reads outcome ``floor(u*n)`` for uniform u = ``j*n + k`` of its stream.
+The totaler then runs on basis bits for all B replications at once,
+bit-sliced: each drawn column (each value bit of it, for SUM/AVG) is
+packed into one B-bit Python int, bit j for replication j, and
+``sim.run_basis_bits`` runs the counter once over the n drawn words, or
+the adder once per drawn column; both are built once per shape.
 All three engines hand their raw totals to ``_replication_set``, which
 scales them into estimates with one division; a ``ReplicationSet`` holds
 both as read-only arrays, int64 totals and float64 estimates.
@@ -36,12 +36,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .circuit import register_value
 from .counter import CounterSpec, build_counter, build_ripple_adder
 from .errors import QbsError
-from .qram import BitDataArray, ValueDataArray, build_qsa, build_value_qsa
+from .qram import ValueDataArray, lookup_gates
 from .rng import fresh_seed, make_rng
-from .sim import basis_gates, draw_basis_index, outcome_cdf, run_basis_bits, simulate
+from .sim import basis_gates, run_basis_bits
 
 MODE_SEQUENTIAL = "quantum_sequential"
 MODE_PARALLEL = "quantum_parallel"
@@ -181,30 +180,52 @@ def _unpack(words: list[int], B: int) -> np.ndarray:
     size = (B + 7) // 8
     packed = np.frombuffer(b"".join(word.to_bytes(size, "little") for word in words), np.uint8)
     bits = np.unpackbits(packed.reshape(len(words), size), axis=1, count=B, bitorder="little")
-    return (bits.astype(np.int64) << np.arange(len(words))[:, None]).sum(axis=0)
+    totals = bits.astype(np.int64)
+    totals <<= np.arange(len(words))[:, None]
+    return totals.sum(axis=0)
+
+
+def _outcome_table(data: ValueDataArray) -> np.ndarray:
+    """The data of the resampler's n equally likely outcomes, in basis-index order.
+
+    The lookup runs on all n addresses at once (bit j of address word q is
+    bit q of j). Outcome ``address + (data << a)`` holds the data above the
+    address, so the values ascend; they take the smallest unsigned dtype.
+    """
+    n, a = len(data.values), data.address_width
+    ones = (1 << n) - 1
+    # from bit 0 up, ones // (2^(2^q) + 1) repeats 2^q ones then 2^q zeros; word q flips it
+    addresses = [ones ^ ones // ((1 << (1 << q)) + 1) for q in range(a)]
+    words = run_basis_bits(lookup_gates(data), addresses + [0] * data.width, n)
+    table = np.sort(_unpack(words[a:], n))
+    return table.astype(np.min_scalar_type(table[-1]))
+
+
+def _measure(table: np.ndarray, B: int, seed: int) -> np.ndarray:
+    """B replications of n measurements, drawn in blocks of at most ``_DRAW_BLOCK``.
+
+    Draw k of replication j reads ``table[floor(u*n)]``, u being uniform
+    ``j*n + k`` of ``make_rng(seed)``.
+    """
+    n = len(table)
+    rng = make_rng(seed)
+    rows = max(1, _DRAW_BLOCK // n)
+    drawn = np.empty((B, n), dtype=table.dtype)
+    for j in range(0, B, rows):
+        uniforms = rng.random((min(rows, B - j), n))
+        # u*n is exact for power-of-two n, so truncating it is the uniform
+        # measurement; the smallest index dtype keeps the temporaries small
+        uniforms *= n
+        drawn[j:j + rows] = table[uniforms.astype(np.min_scalar_type(n - 1))]
+    return drawn
 
 
 def _quantum_raws(sample: SampleResults, B: int, seed: int) -> np.ndarray:
-    """Raw totals of B quantum replications, drawn in blocks and totaled at once.
-
-    The resampler is simulated once. Draw k of replication j looks up
-    uniform ``j*n + k`` of ``make_rng(seed)`` in its outcome CDF; the
-    totaler then runs once on every replication's drawn bits, packed.
-    """
+    """Raw totals of B quantum replications, measured and then totaled at once."""
     n = sample.n
     log_n = _require_power_of_two(n)
-    if sample.aggregate == "COUNT":
-        qsa = build_qsa(BitDataArray(sample.values))
-    else:
-        width = max(1, max(sample.values).bit_length())
-        qsa = build_value_qsa(ValueDataArray(sample.values, width))
-    cdf = outcome_cdf(simulate(qsa))
-    rng = make_rng(seed)
-    rows = max(1, _DRAW_BLOCK // n)
-    drawn = np.empty((B, n), dtype=np.int64)
-    for j in range(0, B, rows):
-        indices = draw_basis_index(cdf, rng.random((min(rows, B - j), n)))
-        drawn[j:j + rows] = register_value(indices, qsa.register("data"))
+    width = max(1, max(sample.values).bit_length())
+    drawn = _measure(_outcome_table(ValueDataArray(sample.values, width)), B, seed)
     if sample.aggregate == "COUNT":
         gates, register = _counter_gates(n)
         out = run_basis_bits(gates, _pack(drawn) + [0] * len(register), B)

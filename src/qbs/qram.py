@@ -5,6 +5,10 @@ nonzero entry, X gates turn the matching address pattern into all-ones,
 a multi-controlled NOT flips the data qubit(s), and the same X gates
 uncompute the pattern. Address qubits are therefore untouched on basis
 inputs, and addresses in superposition read all cells at once.
+
+``lookup_gates`` defines that sequence once, as ``(controls, target)``
+pairs: the builders wrap them into gates, and the engines run them on
+packed basis states to read every address at once.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator
 
 from .circuit import Circuit, controlled_x
 
@@ -74,12 +79,11 @@ def load_data_array(path: str | Path) -> BitDataArray | ValueDataArray:
     if "values" in payload:
         if "width" not in payload:
             raise ValueError(f"{path}: value arrays need a 'width' field")
-        return ValueDataArray(tuple(payload["values"]), int(payload["width"]))
+        width = payload["width"]
+        if not isinstance(width, int) or isinstance(width, bool):
+            raise ValueError(f"{path}: field 'width' must be an integer, got {width!r}")
+        return ValueDataArray(tuple(payload["values"]), width)
     raise ValueError(f"{path}: expected a 'bits' or 'values' key")
-
-
-def _address_zeros(address: int, width: int) -> list[int]:
-    return [q for q in range(width) if not (address >> q) & 1]
 
 
 def _lookup_registers(data: ValueDataArray) -> dict[str, range]:
@@ -105,25 +109,24 @@ def build_value_qram(data: ValueDataArray) -> Circuit:
     lowest data qubit; all set bits of one value share a single X sandwich.
     """
     circuit = Circuit(data.address_width + data.width, registers=_lookup_registers(data))
-    _append_lookup(circuit, data)
+    for controls, target in lookup_gates(data):
+        circuit.append(controlled_x(controls, target))
     return circuit
 
 
-def _append_lookup(circuit: Circuit, data: ValueDataArray) -> None:
-    """Append the lookup gates of ``build_value_qram`` to ``circuit``."""
+def lookup_gates(data: ValueDataArray) -> Iterator[tuple[tuple[int, ...], int]]:
+    """The lookup's gates, in order, as ``(controls, target)`` pairs for ``sim.run_basis_bits``."""
     a = data.address_width
     address_qubits = tuple(range(a))
     for address, value in enumerate(data.values):
         if value == 0:
             continue
-        zeros = _address_zeros(address, a)
-        for q in zeros:
-            circuit.x(q)
+        sandwich = [((), q) for q in range(a) if not (address >> q) & 1]
+        yield from sandwich
         for k in range(data.width):
             if (value >> k) & 1:
-                circuit.append(controlled_x(address_qubits, a + k))
-        for q in zeros:
-            circuit.x(q)
+                yield address_qubits, a + k
+        yield from sandwich
 
 
 def build_qsa(data: BitDataArray) -> Circuit:
@@ -142,5 +145,6 @@ def build_value_qsa(data: ValueDataArray) -> Circuit:
     qsa = Circuit(a + data.width, registers=_lookup_registers(data))
     for q in range(a):
         qsa.h(q)
-    _append_lookup(qsa, data)
+    for controls, target in lookup_gates(data):
+        qsa.append(controlled_x(controls, target))
     return qsa

@@ -1,5 +1,6 @@
 """Exact statevector simulation with shot-based measurement sampling, and
-basis-index evaluation of reversible circuits.
+basis-index evaluation of reversible circuits. The replication engines run
+only the latter; ``qbs qram-test`` and the tests simulate statevectors.
 
 Gates act in place on a ``(2,)*n`` view of the amplitude array; axis k of
 that view holds qubit ``n-1-k`` (qubit 0 is the least significant bit of
@@ -166,36 +167,13 @@ def run_basis(circuit: Circuit, index: int) -> int:
 def outcome_probabilities(state: StateVector) -> np.ndarray:
     """Measurement weights |amplitude|^2, scaled to sum to exactly 1.
 
-    ``sample`` passes them to ``Generator.multinomial``; ``outcome_cdf``
-    accumulates them for single draws.
+    ``sample`` passes them to ``Generator.multinomial``.
     """
     probs = state.probabilities()
     # The statevector itself is never renormalized; dividing the sampling
     # weights by their sum (1 within NORM_DRIFT_LIMIT) only satisfies the
     # RNG's exact-simplex requirement.
     return probs / probs.sum()
-
-
-def outcome_cdf(state: StateVector) -> np.ndarray:
-    """Cumulative measurement weights, ending at exactly 1.
-
-    Built the way numpy's ``Generator.choice`` builds its table from
-    weights, so a draw from it reproduces ``choice`` bit for bit. Compute
-    it once per statevector and reuse it for every draw.
-    """
-    cdf = outcome_probabilities(state).cumsum()
-    cdf /= cdf[-1]
-    return cdf
-
-
-def draw_basis_index(
-    cdf: np.ndarray, uniforms: float | np.ndarray
-) -> np.intp | np.ndarray:
-    """Measurement outcomes: the basis index ``cdf`` assigns to each uniform.
-
-    A scalar uniform gives one index, an array gives an index array.
-    """
-    return cdf.searchsorted(uniforms, side="right")
 
 
 def sample(circuit: Circuit, shots: int, seed: int | None = None) -> CountsTable:

@@ -5,24 +5,25 @@ than the implementation: dense matrices and index permutations instead of
 axis slicing, ``math.comb`` instead of sampling, direct array lookups,
 a trivial row interpreter for predicates, the paper's full-width
 parallel circuit that the parallel engine samples block by block, and
-quantum replications drawn one scalar uniform at a time and summed as ints.
+quantum replications drawn one scalar uniform at a time from the
+resampler's statevector and summed as ints.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 import operator
 from functools import reduce
 
 import numpy as np
+from hypothesis import strategies as st
 
 from qbs.bootstrap import SampleResults
 from qbs.circuit import Circuit, GateKind
 from qbs.counter import CounterSpec, build_counter
 from qbs.qram import BitDataArray, ValueDataArray, build_qsa, build_value_qsa
 from qbs.rng import make_rng
-from qbs.sim import outcome_cdf, simulate
+from qbs.sim import simulate
 
 _ID2 = np.eye(2, dtype=complex)
 _H2 = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
@@ -90,6 +91,17 @@ def stdev_by_hand(values) -> float:
     return math.sqrt(sum((v - mean) ** 2 for v in values) / (len(values) - 1))
 
 
+def value_arrays(max_address_width: int, max_width: int):
+    """Strategy: value arrays of 2^0..2^max_address_width cells, 1..max_width bits each."""
+    return st.integers(0, max_address_width).flatmap(
+        lambda a: st.integers(1, max_width).flatmap(
+            lambda w: st.lists(
+                st.integers(0, (1 << w) - 1), min_size=1 << a, max_size=1 << a
+            ).map(lambda values: ValueDataArray(tuple(values), w))
+        )
+    )
+
+
 def basis_prep(num_qubits: int, pattern: int) -> Circuit:
     """Circuit loading a basis pattern via X gates, bit k onto qubit k."""
     prep = Circuit(num_qubits)
@@ -129,22 +141,24 @@ def build_parallel_replication_circuit(sample: SampleResults) -> Circuit:
 def reference_raws(sample: SampleResults, seed: int, replications) -> list[int]:
     """Raw totals of the given quantum replications, computed draw by draw.
 
-    One generator, ``make_rng(seed)``, yields scalar uniforms in
-    replication-major order: draw k of replication j is uniform ``j*n + k``.
-    Each is looked up by bisection in the resampler's outcome CDF, and the
-    drawn values sum as Python ints.
+    The resampler's statevector gives its outcomes: the basis indices of
+    nonzero weight, in order. One generator, ``make_rng(seed)``, yields
+    scalar uniforms in replication-major order: draw k of replication j
+    is uniform ``j*n + k``, and uniform u measures outcome ``int(u * n)``.
+    The drawn values sum as Python ints.
     """
     if sample.aggregate == "COUNT":
         qsa = build_qsa(BitDataArray(sample.values))
     else:
         width = max(1, max(sample.values).bit_length())
         qsa = build_value_qsa(ValueDataArray(sample.values, width))
-    cdf = outcome_cdf(simulate(qsa)).tolist()
+    support = np.flatnonzero(simulate(qsa).probabilities()).tolist()
     data = qsa.register("data")
     mask = (1 << len(data)) - 1
+    n = sample.n
     rng = make_rng(seed)
     totals = []
     for _ in range(max(replications) + 1):
-        indices = [bisect.bisect_right(cdf, rng.random()) for _ in range(sample.n)]
+        indices = [support[int(rng.random() * n)] for _ in range(n)]
         totals.append(sum(index >> data.start & mask for index in indices))
     return [totals[j] for j in replications]

@@ -11,12 +11,13 @@ from qbs.bootstrap import (
     MODE_SEQUENTIAL,
     MODES,
     SampleResults,
+    _outcome_table,
     classical_bootstrap_oracle,
     replicate,
 )
 from qbs.circuit import register_value
 from qbs.counter import CounterSpec, build_counter, build_ripple_adder
-from qbs.qram import BitDataArray, build_qsa
+from qbs.qram import BitDataArray, build_qsa, build_value_qsa
 from qbs.sim import run_basis, simulate
 from qbs.stats import chi_square_gof, chi_square_two_sample, raw_count_histogram
 
@@ -25,6 +26,7 @@ from helpers import (
     binom_pmf_vector,
     build_parallel_replication_circuit,
     reference_raws,
+    value_arrays,
 )
 
 
@@ -165,6 +167,20 @@ class TestSeedStream:
             head = replicate(sample, 1024, mode, seed=19).raw_counts().tolist()
             assert full[:1024] == head
             assert full[1020:1031] == expected
+
+
+class TestOutcomeTable:
+    @given(value_arrays(6, 5))
+    def test_equals_the_statevector_outcomes(self, data):
+        # measuring the resampler gives n equally likely outcomes; their data,
+        # in basis-index order, is the table the engine draws from
+        qsa = build_value_qsa(data)
+        probs = simulate(qsa).probabilities()
+        support = np.flatnonzero(probs)
+        assert support.size == len(data.values)
+        assert np.ptp(probs[support]) <= 1e-12
+        expected = register_value(support, qsa.register("data")).tolist()
+        assert _outcome_table(data).tolist() == expected
 
 
 class TestParallelReplication:

@@ -147,6 +147,12 @@ class TestQramTest:
         assert main(["qram-test", str(path)]) == 2
         assert "'bits' must be a list" in capsys.readouterr().err
 
+    def test_non_integer_width_rejected(self, tmp_path, capsys):
+        path = tmp_path / "values.json"
+        path.write_text(json.dumps({"values": [1, 2], "width": [2]}))
+        assert main(["qram-test", str(path)]) == 2
+        assert "'width' must be an integer" in capsys.readouterr().err
+
     def test_out_file(self, alternating_bits_file, tmp_path):
         target = tmp_path / "report.json"
         code = main(

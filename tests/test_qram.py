@@ -14,11 +14,12 @@ from qbs.qram import (
     build_value_qram,
     build_value_qsa,
     load_data_array,
+    lookup_gates,
 )
-from qbs.sim import sample, simulate
+from qbs.sim import basis_gates, sample, simulate
 from qbs.stats import chi_square_gof
 
-from helpers import basis_prep
+from helpers import basis_prep, value_arrays
 
 
 def read_fragment(fragment: Circuit, address: int, address_width: int) -> tuple[int, int]:
@@ -121,6 +122,10 @@ class TestValueQram:
             assert value == values[address]
             assert addr_out == address
 
+    @given(value_arrays(8, 6))
+    def test_lookup_gates_are_the_circuit_gates(self, data):
+        assert tuple(lookup_gates(data)) == basis_gates(build_value_qram(data))
+
     def test_value_qsa_draws_stored_values(self):
         data = ValueDataArray((5, 2, 7, 0), width=3)
         counts = sample(build_value_qsa(data), shots=2048, seed=31)
@@ -196,6 +201,13 @@ class TestDataFiles:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"values": [3, 1]}))
         with pytest.raises(ValueError, match="width"):
+            load_data_array(path)
+
+    @pytest.mark.parametrize("width", [True, 2.7, "2"])
+    def test_width_must_be_an_integer(self, tmp_path, width):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"values": [3, 1], "width": width}))
+        with pytest.raises(ValueError, match="'width' must be an integer"):
             load_data_array(path)
 
     def test_unknown_shape_rejected(self, tmp_path):

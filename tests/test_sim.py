@@ -12,9 +12,6 @@ from qbs.sim import (
     CountsTable,
     apply_gate,
     basis_gates,
-    draw_basis_index,
-    outcome_cdf,
-    outcome_probabilities,
     run_basis,
     run_basis_bits,
     sample,
@@ -160,6 +157,11 @@ class TestSample:
         with pytest.raises(ValueError):
             sample(Circuit(1).h(0), shots=0, seed=1)
 
+    def test_hadamard_is_fair_across_seeds(self):
+        circ = Circuit(1).h(0)
+        ones = sum(sample(circ, shots=1, seed=s).count("1") for s in range(10000))
+        assert 0.47 <= ones / 10000 <= 0.53
+
     def test_shared_circuit_samples_safely_across_threads(self):
         from concurrent.futures import ThreadPoolExecutor
 
@@ -178,35 +180,6 @@ class TestSample:
             CountsTable(shots=1, entries={"2": 1}, num_qubits=1)
         with pytest.raises(ValueError):
             CountsTable(shots=1, entries={"00": 1}, num_qubits=1)
-
-
-class TestDrawBasisIndex:
-    def test_basis_state_yields_its_own_index(self):
-        cdf = outcome_cdf(simulate(Circuit(3).x(0).x(2)))
-        for seed in range(20):
-            assert draw_basis_index(cdf, make_rng(seed).random()) == 0b101
-
-    def test_hadamard_is_fair_across_seeds(self):
-        cdf = outcome_cdf(simulate(Circuit(1).h(0)))
-        ones = sum(draw_basis_index(cdf, make_rng(s).random()) == 1 for s in range(10000))
-        assert 0.47 <= ones / 10000 <= 0.53
-
-    @given(
-        circuits(max_qubits=6),
-        st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=8),
-    )
-    def test_equals_rng_choice_for_a_fixed_seed(self, circ, seeds):
-        # classical gates leave many cells at zero weight: flat CDF steps
-        state = simulate(circ)
-        probs = outcome_probabilities(state)
-        cdf = outcome_cdf(state)
-        uniforms = [make_rng(seed).random() for seed in seeds]
-        for seed, u in zip(seeds, uniforms):
-            expected = int(make_rng(seed).choice(probs.size, p=probs))
-            assert draw_basis_index(cdf, u) == expected
-        # an array of uniforms draws the same indices as the scalar calls
-        drawn = draw_basis_index(cdf, np.array(uniforms))
-        assert drawn.tolist() == [draw_basis_index(cdf, u) for u in uniforms]
 
 
 class TestRunBasis:
