@@ -242,22 +242,30 @@ def _column_index(columns: Sequence[str], name: str) -> int:
         raise ValueError(f"unknown column {name!r}") from None
 
 
-def row_matches(
-    columns: Sequence[str], row: Sequence[Value], conditions: Sequence[Condition]
-) -> bool:
-    """Conjunction of the atomic predicates; vacuously true when empty."""
-    for cond in conditions:
-        if not _compare(row[_column_index(columns, cond.column)], cond.op, cond.value):
-            return False
-    return True
+def _checks(
+    columns: Sequence[str], conditions: Sequence[Condition]
+) -> list[tuple[int, str, Value]]:
+    """Each condition as (column index, op, value); an unknown column raises."""
+    return [(_column_index(columns, c.column), c.op, c.value) for c in conditions]
 
 
 def _meets(row: Sequence[Value], checks: Sequence[tuple[int, str, Value]]) -> bool:
-    """``row_matches`` over conditions whose columns are already looked up."""
+    """Conjunction of the ``_checks`` on ``row``; vacuously true when empty."""
     for idx, op, value in checks:
         if not _compare(row[idx], op, value):
             return False
     return True
+
+
+def row_matches(
+    columns: Sequence[str], row: Sequence[Value], conditions: Sequence[Condition]
+) -> bool:
+    """Conjunction of the atomic predicates; vacuously true when empty.
+
+    Every condition's column is looked up before the row is read, so an
+    unknown one raises whatever the row holds.
+    """
+    return _meets(row, _checks(columns, conditions))
 
 
 def tuple_results(sample: DrawnSample, query: QuerySpec) -> SampleResults:
@@ -271,10 +279,7 @@ def tuple_results(sample: DrawnSample, query: QuerySpec) -> SampleResults:
     target_idx = None
     if query.target_column is not None:
         target_idx = _column_index(sample.columns, query.target_column)
-    checks = [
-        (_column_index(sample.columns, cond.column), cond.op, cond.value)
-        for cond in query.conditions
-    ]
+    checks = _checks(sample.columns, query.conditions)
     values: list[int] = []
     matches = 0
     for row in sample.rows:

@@ -22,8 +22,10 @@ reads outcome ``floor(u*n)`` for uniform u = ``j*n + k`` of its stream.
 The totaler then runs on basis bits for all B replications at once,
 bit-sliced: each drawn column (each value bit of it, for SUM/AVG) is
 packed into one B-bit Python int, bit j for replication j, and
-``sim.run_basis_bits`` runs the counter once over the n drawn words, or
-the adder once per drawn column; both are built once per shape.
+``sim.run_basis_bits`` runs the counter's pairs (``counter.counter_gates``)
+once over the n drawn words, or the adder's (``counter.adder_gates``) once
+per drawn column. Each shape's pairs are built once; no engine builds a
+``Circuit``.
 All three engines hand their raw totals to ``_replication_set``, which
 scales them into estimates with one division; a ``ReplicationSet`` holds
 both as read-only arrays, int64 totals and float64 estimates.
@@ -36,11 +38,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .counter import CounterSpec, build_counter, build_ripple_adder
+from .counter import CounterSpec, adder_gates, counter_gates
 from .errors import QbsError
 from .qram import ValueDataArray, lookup_gates
 from .rng import fresh_seed, make_rng
-from .sim import basis_gates, run_basis_bits
+from .sim import run_basis_bits
 
 MODE_SEQUENTIAL = "quantum_sequential"
 MODE_PARALLEL = "quantum_parallel"
@@ -152,21 +154,12 @@ def _require_power_of_two(n: int) -> int:
 _DRAW_BLOCK = 2**18
 
 
-# The totalers are built once per shape and kept as gate pairs; no caller
-# ever sees a cached circuit, so none can change one.
+# The totalers' gate pairs are built once per shape; tuples, so no caller
+# can change a cached one.
 @lru_cache(maxsize=None)
-def _counter_gates(n: int) -> tuple[tuple, range]:
-    """Gate pairs of the n-control counter, and its counter register."""
-    counter = build_counter(CounterSpec.for_controls(n))
-    return basis_gates(counter), counter.register("counter")
-
-
-@lru_cache(maxsize=None)
-def _adder_gates(width: int) -> tuple[tuple, range, int]:
-    """Gate pairs of the ripple adder, its B register and its carry-out qubit."""
-    adder = build_ripple_adder(width)
-    (carry_out,) = adder.register("carry_out")
-    return basis_gates(adder), adder.register("b"), carry_out
+def _gates(generator, shape) -> tuple:
+    """``tuple(generator(shape))``: the pairs of a counter or an adder."""
+    return tuple(generator(shape))
 
 
 def _pack(bits: np.ndarray) -> list[int]:
@@ -227,21 +220,23 @@ def _quantum_raws(sample: SampleResults, B: int, seed: int) -> np.ndarray:
     width = max(1, max(sample.values).bit_length())
     drawn = _measure(_outcome_table(ValueDataArray(sample.values, width)), B, seed)
     if sample.aggregate == "COUNT":
-        gates, register = _counter_gates(n)
-        out = run_basis_bits(gates, _pack(drawn) + [0] * len(register), B)
-        return _unpack(out[register.start:register.stop], B)
+        spec = CounterSpec.for_controls(n)
+        out = run_basis_bits(_gates(counter_gates, spec), _pack(drawn) + [0] * spec.q, B)
+        # the count lands in the register above the n controls
+        return _unpack(out[n:], B)
     # width + log2(n) bits always hold the full resample total
     acc_width = width + log_n
-    gates, register, carry_out = _adder_gates(acc_width)
+    gates = _gates(adder_gates, acc_width)
     # planes[k][j]: bit k of drawn column j, for every replication
     planes = [_pack(drawn >> k & 1) for k in range(width)]
     padding = [0] * (acc_width - width)
     acc = [0] * acc_width
     for column in zip(*planes):
+        # registers A, B, carry-in, carry-out; B gains A
         out = run_basis_bits(gates, list(column) + padding + acc + [0, 0], B)
-        if out[carry_out]:
+        if out[-1]:
             raise QbsError("accumulator overflow; widths were sized wrong")
-        acc = out[register.start:register.stop]
+        acc = out[acc_width:2 * acc_width]
     return _unpack(acc, B)
 
 

@@ -7,36 +7,9 @@ index and the leftmost character of a bitstring is the highest qubit.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping, Sequence
-
-from .errors import CapacityError
-
-# 2^26 complex128 amplitudes is about 1 GiB; anything above is a config error.
-HARD_QUBIT_CAP = 26
-CAPACITY_ENV_VAR = "QBS_MAX_QUBITS"
-
-
-def qubit_capacity() -> int:
-    """Effective simulator capacity in qubits.
-
-    ``QBS_MAX_QUBITS`` may lower the hard cap of 26 qubits for constrained
-    machines; values above the cap are clamped to it.
-    """
-    raw = os.environ.get(CAPACITY_ENV_VAR)
-    if raw is None:
-        return HARD_QUBIT_CAP
-    try:
-        value = int(raw)
-    except ValueError:
-        raise CapacityError(
-            f"{CAPACITY_ENV_VAR}={raw!r} is not an integer"
-        ) from None
-    if value < 1:
-        raise CapacityError(f"{CAPACITY_ENV_VAR} must be >= 1, got {value}")
-    return min(value, HARD_QUBIT_CAP)
 
 
 class GateKind(str, Enum):
@@ -120,7 +93,7 @@ class Circuit:
     Builders populate a circuit and then leave it alone; nothing in the
     package mutates a circuit after it is handed out, so a shared instance
     is safe to simulate concurrently with different seeds. Any width may be
-    built; the qubit capacity applies only when a circuit is simulated.
+    built; ``sim.HARD_QUBIT_CAP`` applies only when a circuit is simulated.
     """
 
     def __init__(
@@ -163,6 +136,12 @@ class Circuit:
                     f"qubit {q} out of range for {self.num_qubits}-qubit circuit"
                 )
         self._gates.append(gate)
+        return self
+
+    def append_pairs(self, pairs: Iterable[tuple[Iterable[int], int]]) -> "Circuit":
+        """Append ``controlled_x(controls, target)`` for each ``(controls, target)`` pair."""
+        for controls, target in pairs:
+            self.append(controlled_x(controls, target))
         return self
 
     # convenience wrappers, qiskit-style

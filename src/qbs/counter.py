@@ -5,13 +5,18 @@ little-endian counter register: each control drives a cascade of
 multi-controlled NOTs that implements a conditional increment. Carry
 propagation needs the counter bits to be consumed most significant first,
 so the inner loop must run downward.
+
+``counter_gates`` and ``adder_gates`` define each gate sequence once, as
+``(controls, target)`` pairs: the builders wrap them into gates, and the
+engines run them on packed basis states (``sim.run_basis_bits``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
-from .circuit import Circuit, bitstring_of, controlled_x, register_value
+from .circuit import Circuit, bitstring_of, register_value
 from .sim import run_basis
 
 
@@ -52,16 +57,24 @@ def _counter_registers(spec: CounterSpec) -> dict[str, range]:
     }
 
 
+def counter_gates(spec: CounterSpec) -> Iterator[tuple[tuple[int, ...], int]]:
+    """The counter's gates, in order, as ``(controls, target)`` pairs.
+
+    Control i conditionally increments the counter register, qubits
+    ``[p, p + q)``: bit j flips when control i and all lower bits are set.
+    """
+    p = spec.p
+    for i in range(p - 1, -1, -1):
+        for j in range(spec.q - 1, -1, -1):
+            yield (i, *range(p, p + j)), p + j
+
+
 def build_counter(spec: CounterSpec) -> Circuit:
     """Popcount fragment: counter register (entering as |0..0>) gains the
     number of set control qubits, least significant bit first.
     """
     circuit = Circuit(spec.num_qubits, registers=_counter_registers(spec))
-    for i in range(spec.p - 1, -1, -1):
-        for j in range(spec.q - 1, -1, -1):
-            controls = (i,) + tuple(spec.p + k for k in range(j))
-            circuit.append(controlled_x(controls, spec.p + j))
-    return circuit
+    return circuit.append_pairs(counter_gates(spec))
 
 
 def build_inverse_counter(spec: CounterSpec) -> Circuit:
@@ -69,9 +82,7 @@ def build_inverse_counter(spec: CounterSpec) -> Circuit:
     undoes the counter (a conditional decrement per control qubit).
     """
     circuit = Circuit(spec.num_qubits, registers=_counter_registers(spec))
-    for gate in reversed(build_counter(spec).gates):
-        circuit.append(gate)
-    return circuit
+    return circuit.append_pairs(reversed(tuple(counter_gates(spec))))
 
 
 def measure_counter(
@@ -91,27 +102,15 @@ def measure_counter(
     return bitstring_of(index, spec.num_qubits), counter
 
 
-def build_ripple_adder(width: int) -> Circuit:
-    """In-place ripple-carry adder over registers A and B of ``width`` bits.
+def adder_gates(width: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    """The ripple adder's gates, in order, as ``(controls, target)`` pairs.
 
     Layout: A at qubits [0, width), B at [width, 2*width), a carry-in
-    ancilla, then the carry-out qubit. On basis inputs with cleared
-    ancillas B ends holding (a + b) mod 2^width, the carry-out qubit holds
-    the overflow bit, and A is restored by the uncompute half.
+    ancilla, then the carry-out qubit.
     """
     if width < 1:
         raise ValueError(f"width must be >= 1, got {width}")
     carry_in = 2 * width
-    carry_out = 2 * width + 1
-    circuit = Circuit(
-        2 * width + 2,
-        registers={
-            "a": range(0, width),
-            "b": range(width, 2 * width),
-            "carry_in": range(carry_in, carry_in + 1),
-            "carry_out": range(carry_out, carry_out + 1),
-        },
-    )
 
     def carry_for(k: int) -> int:
         return carry_in if k == 0 else k - 1
@@ -119,14 +118,34 @@ def build_ripple_adder(width: int) -> Circuit:
     # majority half: after step k, A_k holds the carry into position k+1
     for k in range(width):
         c, b, a = carry_for(k), width + k, k
-        circuit.cx(a, b)
-        circuit.cx(a, c)
-        circuit.ccx(c, b, a)
-    circuit.cx(width - 1, carry_out)
+        yield (a,), b
+        yield (a,), c
+        yield (c, b), a
+    yield (width - 1,), carry_in + 1
     # unmajority-and-add half restores A and the carry chain
     for k in reversed(range(width)):
         c, b, a = carry_for(k), width + k, k
-        circuit.ccx(c, b, a)
-        circuit.cx(a, c)
-        circuit.cx(c, b)
-    return circuit
+        yield (c, b), a
+        yield (a,), c
+        yield (c,), b
+
+
+def build_ripple_adder(width: int) -> Circuit:
+    """In-place ripple-carry adder over registers A and B of ``width`` bits.
+
+    Layout as in ``adder_gates``. On basis inputs with cleared ancillas B
+    ends holding (a + b) mod 2^width, the carry-out qubit holds the
+    overflow bit, and A is restored by the uncompute half.
+    """
+    gates = tuple(adder_gates(width))  # first, so a bad width reports itself
+    carry_in = 2 * width
+    circuit = Circuit(
+        2 * width + 2,
+        registers={
+            "a": range(0, width),
+            "b": range(width, 2 * width),
+            "carry_in": range(carry_in, carry_in + 1),
+            "carry_out": range(carry_in + 1, carry_in + 2),
+        },
+    )
+    return circuit.append_pairs(gates)

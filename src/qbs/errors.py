@@ -6,7 +6,7 @@ class QbsError(Exception):
 
 
 class CapacityError(QbsError):
-    """A circuit would exceed the configured statevector capacity."""
+    """A circuit would exceed the statevector simulator's qubit cap."""
 
 
 class PipelineError(QbsError):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
 
-from .circuit import Circuit, controlled_x
+from .circuit import Circuit
 
 
 def _exponent_of_power_of_two(length: int, what: str) -> int:
@@ -109,9 +109,7 @@ def build_value_qram(data: ValueDataArray) -> Circuit:
     lowest data qubit; all set bits of one value share a single X sandwich.
     """
     circuit = Circuit(data.address_width + data.width, registers=_lookup_registers(data))
-    for controls, target in lookup_gates(data):
-        circuit.append(controlled_x(controls, target))
-    return circuit
+    return circuit.append_pairs(lookup_gates(data))
 
 
 def lookup_gates(data: ValueDataArray) -> Iterator[tuple[tuple[int, ...], int]]:
@@ -145,6 +143,4 @@ def build_value_qsa(data: ValueDataArray) -> Circuit:
     qsa = Circuit(a + data.width, registers=_lookup_registers(data))
     for q in range(a):
         qsa.h(q)
-    for controls, target in lookup_gates(data):
-        qsa.append(controlled_x(controls, target))
-    return qsa
+    return qsa.append_pairs(lookup_gates(data))

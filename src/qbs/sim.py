@@ -8,11 +8,13 @@ the basis index). Controlled NOTs swap the two target slices inside the
 all-controls-on subspace, so no gate matrix is ever expanded.
 
 A circuit of X/CX/CCX/MCX gates maps each basis state to one basis state,
-so it runs on basis bits with no statevector. ``basis_gates`` reduces it to
-``(controls, target)`` pairs, and ``run_basis_bits`` runs those on packed
-words: bit j of word q is qubit q of batch state j, so one pass evaluates a
-whole batch (Biham's bit-slicing). ``run_basis`` is the batch of one, on a
-basis index.
+so it runs on basis bits with no statevector. ``run_basis_bits`` runs
+``(controls, target)`` pairs on packed words: bit j of word q is qubit q of
+batch state j, so one pass evaluates a whole batch (Biham's bit-slicing).
+The engines run the pairs that ``counter.counter_gates``,
+``counter.adder_gates`` and ``qram.lookup_gates`` yield; ``basis_gates``
+reduces a built circuit to the same pairs, and ``run_basis`` runs one on a
+single basis index.
 """
 
 from __future__ import annotations
@@ -22,19 +24,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import (
-    CAPACITY_ENV_VAR,
-    HARD_QUBIT_CAP,
-    Circuit,
-    GateKind,
-    GateOp,
-    bitstring_of,
-    qubit_capacity,
-)
+from .circuit import Circuit, GateKind, GateOp, bitstring_of
 from .errors import CapacityError, QbsError
 from .rng import fresh_seed, make_rng
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
+
+# 2^26 complex128 amplitudes is about 1 GiB; anything above is a config error.
+HARD_QUBIT_CAP = 26
 
 # Unitary gates cannot drift the norm beyond rounding; larger drift means a bug.
 NORM_DRIFT_LIMIT = 1e-9
@@ -107,12 +104,8 @@ def apply_gate(state: np.ndarray, gate: GateOp, num_qubits: int) -> None:
 def simulate(circuit: Circuit) -> StateVector:
     """Run ``circuit`` from |0...0> and return the exact final statevector."""
     n = circuit.num_qubits
-    capacity = qubit_capacity()
-    if n > capacity:
-        raise CapacityError(
-            f"simulating {n} qubits exceeds the capacity of {capacity} "
-            f"(hard cap {HARD_QUBIT_CAP}; {CAPACITY_ENV_VAR} can only lower it)"
-        )
+    if n > HARD_QUBIT_CAP:
+        raise CapacityError(f"simulating {n} qubits exceeds the cap of {HARD_QUBIT_CAP}")
     state = np.zeros(1 << n, dtype=np.complex128)
     state[0] = 1.0
     for gate in circuit.gates:
@@ -135,7 +128,7 @@ def basis_gates(circuit: Circuit) -> tuple[tuple[tuple[int, ...], int], ...]:
 
 
 def run_basis_bits(gates, bits: list[int], batch: int = 1) -> list[int]:
-    """Run ``basis_gates`` pairs on ``batch`` basis states packed into words.
+    """Run ``(controls, target)`` pairs on ``batch`` basis states packed into words.
 
     ``bits[q]`` is a non-negative int whose bit j is qubit q of state j.
     Each pair does ``bits[target] ^= AND(bits[controls])``, starting the

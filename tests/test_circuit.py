@@ -1,6 +1,5 @@
 import pytest
 
-import qbs.circuit as circuit_mod
 from qbs.circuit import (
     Circuit,
     GateKind,
@@ -10,7 +9,6 @@ from qbs.circuit import (
     cx,
     h,
     mcx,
-    qubit_capacity,
     register_value,
     x,
 )
@@ -35,28 +33,6 @@ class TestBuildCircuit:
     def test_capacity_error_names_the_limit(self):
         with pytest.raises(CapacityError, match="26"):
             simulate(Circuit(27))
-
-
-class TestCapacityEnvVar:
-    def test_env_lowers_cap(self, monkeypatch):
-        monkeypatch.setenv(circuit_mod.CAPACITY_ENV_VAR, "5")
-        assert qubit_capacity() == 5
-        with pytest.raises(CapacityError):
-            simulate(Circuit(6))
-
-    def test_env_cannot_raise_cap(self, monkeypatch):
-        monkeypatch.setenv(circuit_mod.CAPACITY_ENV_VAR, "40")
-        assert qubit_capacity() == circuit_mod.HARD_QUBIT_CAP
-
-    def test_garbage_env_rejected(self, monkeypatch):
-        monkeypatch.setenv(circuit_mod.CAPACITY_ENV_VAR, "lots")
-        with pytest.raises(CapacityError, match="QBS_MAX_QUBITS"):
-            qubit_capacity()
-
-    def test_nonpositive_env_rejected(self, monkeypatch):
-        monkeypatch.setenv(circuit_mod.CAPACITY_ENV_VAR, "0")
-        with pytest.raises(CapacityError):
-            qubit_capacity()
 
 
 class TestGateOp:

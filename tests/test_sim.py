@@ -9,6 +9,7 @@ from qbs.circuit import Circuit, GateKind, GateOp, bitstring_of
 from qbs.errors import CapacityError, QbsError
 from qbs.rng import make_rng
 from qbs.sim import (
+    HARD_QUBIT_CAP,
     CountsTable,
     apply_gate,
     basis_gates,
@@ -78,9 +79,8 @@ class TestSimulate:
         assert np.allclose(oracle, np.full(8, 1 / math.sqrt(8)), atol=1e-12)
         assert np.allclose(simulate(circ).amplitudes, oracle, atol=1e-12)
 
-    def test_capacity_guard(self, monkeypatch):
-        circ = Circuit(4).h(0)
-        monkeypatch.setenv("QBS_MAX_QUBITS", "3")
+    def test_capacity_guard(self):
+        circ = Circuit(HARD_QUBIT_CAP + 1).h(0)
         with pytest.raises(CapacityError):
             simulate(circ)
 
