@@ -6,11 +6,12 @@ from __future__ import annotations
 
 import csv
 import json
+import operator
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from statistics import NormalDist
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -37,6 +38,18 @@ _OPERATOR_ALIASES = {
     ">=": ">=",
     "≥": ">=",
 }
+
+_OPERATORS = {
+    "=": operator.eq,
+    "!=": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+}
+
+# a condition resolved against the columns: (index, operator, value, value is numeric)
+_Check = tuple[int, Callable[[Value, Value], bool], Value, bool]
 
 
 @dataclass(frozen=True)
@@ -215,26 +228,6 @@ def draw_sample(table: TableData, n: int, seed: int | None = None) -> DrawnSampl
     return DrawnSample(table.columns, rows, table.N, seed)
 
 
-def _compare(left: Value, op: str, right: Value) -> bool:
-    left_num = isinstance(left, (int, float))
-    right_num = isinstance(right, (int, float))
-    if left_num != right_num:
-        raise ValueError(
-            f"type mismatch: cannot compare {left!r} with {right!r}"
-        )
-    if op == "=":
-        return left == right
-    if op == "!=":
-        return left != right
-    if op == "<":
-        return left < right
-    if op == "<=":
-        return left <= right
-    if op == ">":
-        return left > right
-    return left >= right
-
-
 def _column_index(columns: Sequence[str], name: str) -> int:
     try:
         return list(columns).index(name)
@@ -242,17 +235,22 @@ def _column_index(columns: Sequence[str], name: str) -> int:
         raise ValueError(f"unknown column {name!r}") from None
 
 
-def _checks(
-    columns: Sequence[str], conditions: Sequence[Condition]
-) -> list[tuple[int, str, Value]]:
-    """Each condition as (column index, op, value); an unknown column raises."""
-    return [(_column_index(columns, c.column), c.op, c.value) for c in conditions]
+def _checks(columns: Sequence[str], conditions: Sequence[Condition]) -> list[_Check]:
+    """Each condition as a ``_Check``; an unknown column raises."""
+    return [
+        (_column_index(columns, c.column), _OPERATORS[c.op], c.value,
+         isinstance(c.value, (int, float)))
+        for c in conditions
+    ]
 
 
-def _meets(row: Sequence[Value], checks: Sequence[tuple[int, str, Value]]) -> bool:
+def _meets(row: Sequence[Value], checks: Sequence[_Check]) -> bool:
     """Conjunction of the ``_checks`` on ``row``; vacuously true when empty."""
-    for idx, op, value in checks:
-        if not _compare(row[idx], op, value):
+    for idx, compare, value, numeric in checks:
+        left = row[idx]
+        if isinstance(left, (int, float)) != numeric:
+            raise ValueError(f"type mismatch: cannot compare {left!r} with {value!r}")
+        if not compare(left, value):
             return False
     return True
 

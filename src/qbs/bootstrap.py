@@ -10,7 +10,9 @@ them. Three interchangeable engines produce the same distribution:
   counter, COUNT only. The counter permutes basis states, so measuring
   each block first gives the same distribution (deferred measurement).
 * ``classical_oracle``: plain seeded resampling, the reference the
-  quantum engines are validated against.
+  quantum engines are validated against. It draws and totals its
+  resamples ``max(1, _DRAW_BLOCK // n)`` whole replications at a time, so
+  its memory does not grow with B*n.
 
 Both quantum modes therefore run one pass, ``_quantum_raws``. The lookup
 only permutes basis states, so a measurement of the resampler is a uniform
@@ -263,13 +265,24 @@ def replicate(
 def classical_bootstrap_oracle(
     sample: SampleResults, B: int, seed: int | None = None
 ) -> ReplicationSet:
-    """Reference engine: seeded resampling with replacement, summed classically."""
+    """Reference engine: seeded resampling with replacement, summed classically.
+
+    Replication j totals ``values[picks[j]]``, ``picks`` being the (B, n)
+    integers below n of ``make_rng(seed)``. They are drawn and totaled
+    ``max(1, _DRAW_BLOCK // n)`` rows at a time.
+    """
     if B < 2:
         raise ValueError(f"need B >= 2 replications, got {B}")
     if seed is None:
         seed = fresh_seed()
+    n = sample.n
     rng = make_rng(seed)
     values = np.asarray(sample.values, dtype=np.int64)
-    picks = rng.integers(0, sample.n, size=(B, sample.n))
-    raws = values[picks].sum(axis=1)
+    rows = max(1, _DRAW_BLOCK // n)
+    raws = np.empty(B, dtype=np.int64)
+    # the generator fills its integers row-major, so the blocks consume the
+    # stream one (B, n) call would, and the replications are the same
+    for j in range(0, B, rows):
+        picks = rng.integers(0, n, size=(min(rows, B - j), n))
+        values[picks].sum(axis=1, out=raws[j:j + rows])
     return _replication_set(sample, raws, MODE_ORACLE, seed)

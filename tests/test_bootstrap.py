@@ -1,3 +1,6 @@
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -18,6 +21,7 @@ from qbs.bootstrap import (
 from qbs.circuit import register_value
 from qbs.counter import CounterSpec, build_counter, build_ripple_adder
 from qbs.qram import BitDataArray, build_qsa, build_value_qsa
+from qbs.rng import make_rng
 from qbs.sim import run_basis, simulate
 from qbs.stats import chi_square_gof, chi_square_two_sample, raw_count_histogram
 
@@ -260,6 +264,47 @@ class TestClassicalOracle:
         sample = SampleResults((0, 1, 1), population_size=6)
         replications = classical_bootstrap_oracle(sample, 50, seed=9)
         assert replications.B == 50
+
+    @pytest.mark.parametrize("n", [1, 5, 8, 1000, 4096, 4097])
+    @pytest.mark.parametrize("B", [2, 17, 1000])
+    def test_blocks_are_the_single_draw(self, n, B):
+        # 4096 and 4097 end B=1000 on a partial block, 4097 on odd-sized blocks
+        values = [(7 * i + n) % 11 for i in range(n)]
+        sample = SampleResults(tuple(values), population_size=2 * n, aggregate="SUM")
+        picks = make_rng(21).integers(0, n, size=(B, n))
+        expected = np.asarray(values, dtype=np.int64)[picks].sum(axis=1)
+        raws = classical_bootstrap_oracle(sample, B, seed=21).raw_counts()
+        assert raws.tolist() == expected.tolist()
+        doubled = classical_bootstrap_oracle(sample, 2 * B, seed=21).raw_counts()
+        assert doubled[:B].tolist() == raws.tolist()
+
+    @pytest.mark.parametrize(
+        "sample, expected",
+        [
+            (SampleResults(tuple(int(i % 3 == 0) for i in range(4096)), population_size=8192),
+             "b045e73f146c4ac03eae3a1442c4df0eb51c1c8ead492c44aebf03667007a938"),
+            (SampleResults(tuple(16 + i // 2 % 16 for i in range(4096)), population_size=8192,
+                           aggregate="SUM"),
+             "1958eff6e3cbe4570341d669a7198cc6d9cef12da219eef5cdc3ac1c7adce06f"),
+        ],
+        ids=["count", "sum"],
+    )
+    def test_golden_digest(self, sample, expected):
+        # computed from the single (B, n) draw, before the oracle drew in blocks
+        raws = classical_bootstrap_oracle(sample, 1000, seed=1).raw_counts()
+        assert hashlib.sha256(raws.tobytes()).hexdigest() == expected
+
+    def test_memory_does_not_grow_with_b_times_n(self):
+        # numpy reports its buffers to tracemalloc; one (B, n) draw here peaks near 250 MB
+        sample = SampleResults(tuple(16 + i // 2 % 16 for i in range(16384)),
+                               population_size=32768, aggregate="SUM")
+        tracemalloc.start()
+        try:
+            classical_bootstrap_oracle(sample, 1000, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 class TestReplicate:
