@@ -21,13 +21,12 @@ pairs (``qram.lookup_gates``) over all n addresses gives the n equally
 likely outcomes, with no statevector. Draws are i.i.d. shots, so one
 generator, ``make_rng(seed)``, serves the call: draw k of replication j
 reads outcome ``floor(u*n)`` for uniform u = ``j*n + k`` of its stream.
-The totaler then runs on basis bits for all B replications at once,
-bit-sliced: each drawn column (each value bit of it, for SUM/AVG) is
-packed into one B-bit Python int, bit j for replication j, and
-``sim.run_basis_bits`` runs the counter's pairs (``counter.counter_gates``)
-once over the n drawn words, or the adder's (``counter.adder_gates``) once
-per drawn column. Each shape's pairs are built once; no engine builds a
-``Circuit``.
+The totaling then runs on basis bits for all B replications at once,
+bit-sliced: each value bit of each drawn column is packed into one B-bit
+Python int, bit j for replication j, and ``_ripple_add`` adds the columns
+into one accumulator. That is the net effect of the ripple adder
+(``counter.adder_gates``) on basis states, and for a 1-bit COUNT column
+that of the counter (``counter.counter_gates``), whose register it is.
 All three engines hand their raw totals to ``_replication_set``, which
 scales them into estimates with one division; a ``ReplicationSet`` holds
 both as read-only arrays, int64 totals and float64 estimates.
@@ -36,11 +35,9 @@ both as read-only arrays, int64 totals and float64 estimates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .counter import CounterSpec, adder_gates, counter_gates
 from .errors import QbsError
 from .qram import ValueDataArray, lookup_gates
 from .rng import fresh_seed, make_rng
@@ -70,13 +67,12 @@ class SampleResults:
     match_count: int | None = None
 
     def __post_init__(self):
-        coerced = []
-        for v in self.values:
-            as_int = int(v)
-            if as_int != v:
-                raise ValueError(f"tuple results must be integers, got {v!r}")
-            coerced.append(as_int)
-        object.__setattr__(self, "values", tuple(coerced))
+        values = tuple(self.values)
+        coerced = tuple(map(int, values))
+        if coerced != values:
+            bad = next(v for v, c in zip(values, coerced) if v != c)
+            raise ValueError(f"tuple results must be integers, got {bad!r}")
+        object.__setattr__(self, "values", coerced)
         if self.aggregate not in AGGREGATES:
             raise ValueError(f"aggregate must be one of {AGGREGATES}")
         if not self.values:
@@ -87,11 +83,11 @@ class SampleResults:
                 f"size {len(self.values)}"
             )
         if self.aggregate == "COUNT":
-            if any(v not in (0, 1) for v in self.values):
+            if not set(coerced) <= {0, 1}:
                 raise ValueError("COUNT tuple results must be 0 or 1")
-        elif any(v < 0 for v in self.values):
+        elif min(coerced) < 0:
             raise ValueError("SUM/AVG tuple results must be non-negative")
-        elif self.n * max(self.values) >= 2**63:
+        elif self.n * max(coerced) >= 2**63:
             raise ValueError("SUM/AVG resample totals, up to n * max value, overflow int64")
         if self.match_count is not None and not 0 <= self.match_count <= len(self.values):
             raise ValueError(f"match_count {self.match_count} outside 0..{len(self.values)}")
@@ -156,16 +152,12 @@ def _require_power_of_two(n: int) -> int:
 _DRAW_BLOCK = 2**18
 
 
-# The totalers' gate pairs are built once per shape; tuples, so no caller
-# can change a cached one.
-@lru_cache(maxsize=None)
-def _gates(generator, shape) -> tuple:
-    """``tuple(generator(shape))``: the pairs of a counter or an adder."""
-    return tuple(generator(shape))
-
-
 def _pack(bits: np.ndarray) -> list[int]:
-    """Columns of a (B, m) 0/1 array as m words: bit j of word k is ``bits[j, k]``."""
+    """Columns of a (B, m) array as m words: bit j of word k is set where ``bits[j, k]`` is nonzero.
+
+    ``np.packbits`` packs any nonzero entry as 1, so a masked array such as
+    ``drawn & 1 << k`` packs as it is, with no second temporary.
+    """
     packed = np.packbits(bits, axis=0, bitorder="little")
     return [int.from_bytes(column.tobytes(), "little") for column in packed.T]
 
@@ -215,30 +207,36 @@ def _measure(table: np.ndarray, B: int, seed: int) -> np.ndarray:
     return drawn
 
 
+def _ripple_add(acc: list[int], operand) -> None:
+    """Add the operand words into the accumulator words in place, bit-sliced.
+
+    Word k holds bit k of every batch state: sum bit ``a ^ b ^ carry``,
+    carry ``maj(a, b, carry)``, stopping once the operand is spent and the
+    carry is 0. A carry out of the accumulator raises ``QbsError``.
+    """
+    carry = 0
+    for k, a in enumerate(acc):
+        if k >= len(operand) and not carry:
+            return
+        b = operand[k] if k < len(operand) else 0
+        acc[k] = a ^ b ^ carry
+        carry = a & b | carry & (a ^ b)
+    if carry:
+        raise QbsError("accumulator overflow; widths were sized wrong")
+
+
 def _quantum_raws(sample: SampleResults, B: int, seed: int) -> np.ndarray:
     """Raw totals of B quantum replications, measured and then totaled at once."""
     n = sample.n
     log_n = _require_power_of_two(n)
     width = max(1, max(sample.values).bit_length())
     drawn = _measure(_outcome_table(ValueDataArray(sample.values, width)), B, seed)
-    if sample.aggregate == "COUNT":
-        spec = CounterSpec.for_controls(n)
-        out = run_basis_bits(_gates(counter_gates, spec), _pack(drawn) + [0] * spec.q, B)
-        # the count lands in the register above the n controls
-        return _unpack(out[n:], B)
-    # width + log2(n) bits always hold the full resample total
-    acc_width = width + log_n
-    gates = _gates(adder_gates, acc_width)
     # planes[k][j]: bit k of drawn column j, for every replication
-    planes = [_pack(drawn >> k & 1) for k in range(width)]
-    padding = [0] * (acc_width - width)
-    acc = [0] * acc_width
+    planes = [_pack(drawn & 1 << k) for k in range(width)]
+    # width + log2(n) bits always hold the full resample total
+    acc = [0] * (width + log_n)
     for column in zip(*planes):
-        # registers A, B, carry-in, carry-out; B gains A
-        out = run_basis_bits(gates, list(column) + padding + acc + [0, 0], B)
-        if out[-1]:
-            raise QbsError("accumulator overflow; widths were sized wrong")
-        acc = out[acc_width:2 * acc_width]
+        _ripple_add(acc, column)
     return _unpack(acc, B)
 
 

@@ -52,24 +52,7 @@ class GateOp:
         return self.controls + (self.target,)
 
 
-def h(target: int) -> GateOp:
-    return GateOp(GateKind.H, (), target)
-
-
-def x(target: int) -> GateOp:
-    return GateOp(GateKind.X, (), target)
-
-
-def cx(control: int, target: int) -> GateOp:
-    return GateOp(GateKind.CX, (control,), target)
-
-
-def ccx(control_a: int, control_b: int, target: int) -> GateOp:
-    return GateOp(GateKind.CCX, (control_a, control_b), target)
-
-
-def mcx(controls: Iterable[int], target: int) -> GateOp:
-    return GateOp(GateKind.MCX, tuple(controls), target)
+_X_KINDS = (GateKind.X, GateKind.CX, GateKind.CCX)
 
 
 def controlled_x(controls: Iterable[int], target: int) -> GateOp:
@@ -78,13 +61,8 @@ def controlled_x(controls: Iterable[int], target: int) -> GateOp:
     Degenerates to X / CX / CCX for 0, 1 or 2 controls.
     """
     controls = tuple(controls)
-    if not controls:
-        return x(target)
-    if len(controls) == 1:
-        return cx(controls[0], target)
-    if len(controls) == 2:
-        return ccx(controls[0], controls[1], target)
-    return mcx(controls, target)
+    kind = _X_KINDS[len(controls)] if len(controls) < len(_X_KINDS) else GateKind.MCX
+    return GateOp(kind, controls, target)
 
 
 class Circuit:
@@ -146,19 +124,10 @@ class Circuit:
 
     # convenience wrappers, qiskit-style
     def h(self, target: int) -> "Circuit":
-        return self.append(h(target))
+        return self.append(GateOp(GateKind.H, (), target))
 
     def x(self, target: int) -> "Circuit":
-        return self.append(x(target))
-
-    def cx(self, control: int, target: int) -> "Circuit":
-        return self.append(cx(control, target))
-
-    def ccx(self, control_a: int, control_b: int, target: int) -> "Circuit":
-        return self.append(ccx(control_a, control_b, target))
-
-    def mcx(self, controls: Iterable[int], target: int) -> "Circuit":
-        return self.append(mcx(controls, target))
+        return self.append(GateOp(GateKind.X, (), target))
 
     def extend(self, fragment: "Circuit", qubit_map: Sequence[int]) -> "Circuit":
         """Append all gates of ``fragment``, remapping its qubit k to ``qubit_map[k]``."""

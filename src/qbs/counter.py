@@ -7,8 +7,9 @@ propagation needs the counter bits to be consumed most significant first,
 so the inner loop must run downward.
 
 ``counter_gates`` and ``adder_gates`` define each gate sequence once, as
-``(controls, target)`` pairs: the builders wrap them into gates, and the
-engines run them on packed basis states (``sim.run_basis_bits``).
+``(controls, target)`` pairs: the builders wrap them into gates. The
+engines total by the circuits' net effect instead (``bootstrap._ripple_add``);
+the pairs run on packed basis states (``sim.run_basis_bits``) are its check.
 """
 
 from __future__ import annotations

@@ -16,7 +16,7 @@ from .bootstrap import (
     classical_bootstrap_oracle,
     replicate,
 )
-from .circuit import Circuit, GateKind, GateOp, register_value
+from .circuit import Circuit, controlled_x, register_value
 from .counter import CounterSpec, build_ripple_adder, measure_counter
 from .qram import BitDataArray, build_bit_qram
 from .rng import make_rng
@@ -48,13 +48,7 @@ def _add_controlled(c: Circuit, rng, n: int) -> None:
         return
     arity = int(rng.integers(1, n))
     qubits = rng.choice(n, size=arity + 1, replace=False)
-    c.append(
-        GateOp(
-            {1: GateKind.CX, 2: GateKind.CCX}.get(arity, GateKind.MCX),
-            tuple(int(q) for q in qubits[:-1]),
-            int(qubits[-1]),
-        )
-    )
+    c.append(controlled_x((int(q) for q in qubits[:-1]), int(qubits[-1])))
 
 
 _GATE_MAKERS = (_add_h, _add_x, _add_controlled)

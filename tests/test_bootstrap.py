@@ -15,14 +15,16 @@ from qbs.bootstrap import (
     MODES,
     SampleResults,
     _outcome_table,
+    _ripple_add,
     classical_bootstrap_oracle,
     replicate,
 )
 from qbs.circuit import register_value
-from qbs.counter import CounterSpec, build_counter, build_ripple_adder
+from qbs.counter import CounterSpec, adder_gates, build_counter, counter_gates
+from qbs.errors import QbsError
 from qbs.qram import BitDataArray, build_qsa, build_value_qsa
 from qbs.rng import make_rng
-from qbs.sim import run_basis, simulate
+from qbs.sim import run_basis, run_basis_bits, simulate
 from qbs.stats import chi_square_gof, chi_square_two_sample, raw_count_histogram
 
 from helpers import (
@@ -60,6 +62,22 @@ class TestSampleResults:
     def test_population_must_cover_sample(self):
         with pytest.raises(ValueError):
             SampleResults((0, 1), population_size=1)
+
+    @pytest.mark.parametrize(
+        "values, aggregate, message",
+        [
+            ((0, 2, 1.5, 3), "SUM", "tuple results must be integers, got 1.5"),
+            ((1, 0.5), "COUNT", "tuple results must be integers, got 0.5"),
+            ((0, "1"), "COUNT", "tuple results must be integers, got '1'"),
+            ((3, 0, -1), "SUM", "SUM/AVG tuple results must be non-negative"),
+            ((2, -4), "AVG", "SUM/AVG tuple results must be non-negative"),
+            ((1, 0, 2), "COUNT", "COUNT tuple results must be 0 or 1"),
+        ],
+    )
+    def test_rejections_keep_their_messages(self, values, aggregate, message):
+        with pytest.raises(ValueError) as raised:
+            SampleResults(values, population_size=8, aggregate=aggregate)
+        assert str(raised.value) == message
 
     def test_fraction(self):
         sample = SampleResults((0, 1, 0, 1), population_size=8)
@@ -185,6 +203,68 @@ class TestOutcomeTable:
         assert np.ptp(probs[support]) <= 1e-12
         expected = register_value(support, qsa.register("data")).tolist()
         assert _outcome_table(data).tolist() == expected
+
+
+def words(count: int, batch: int):
+    """Strategy: ``count`` words of ``batch`` bits, one bit per basis state."""
+    return st.lists(st.integers(0, 2**batch - 1), min_size=count, max_size=count)
+
+
+def replication_grid():
+    """COUNT, SUM and AVG samples at n = 1..1024 and value widths 1, 3, 8, zeros included."""
+    for n in (1, 2, 16, 256, 1024):
+        for B in (2, 7, 1000):
+            yield SampleResults(tuple(int((5 * i + n) % 3 == 0) for i in range(n)), 2 * n), B
+            yield SampleResults((0,) * n, 2 * n), B
+            for aggregate in ("SUM", "AVG"):
+                for w in (1, 3, 8):
+                    rest = tuple((7 * i + 3 * w + n) % (1 << w) for i in range(1, n))
+                    yield SampleResults(((1 << w) - 1,) + rest, 2 * n, aggregate), B
+                yield SampleResults((0,) * n, 2 * n, aggregate), B
+
+
+class TestRippleAdd:
+    """The totaler against the circuits it stands for, run as gate pairs on packed words."""
+
+    @given(st.integers(1, 8), st.integers(1, 70), st.data())
+    def test_equals_the_ripple_adder(self, width, batch, data):
+        a, b = data.draw(words(width, batch)), data.draw(words(width, batch))
+        # registers A, B, carry-in, carry-out; B gains A
+        out = run_basis_bits(adder_gates(width), a + b + [0, 0], batch)
+        # one more accumulator word takes the carry-out instead of raising
+        acc = b + [0]
+        _ripple_add(acc, a)
+        assert acc == out[width:2 * width] + [out[-1]]
+
+    @given(st.integers(1, 40), st.integers(0, 2), st.integers(1, 70), st.data())
+    def test_equals_the_counter(self, p, extra, batch, data):
+        spec = CounterSpec(p, p.bit_length() + extra)
+        controls = data.draw(words(p, batch))
+        out = run_basis_bits(counter_gates(spec), controls + [0] * spec.q, batch)
+        acc = [0] * spec.q
+        for control in controls:
+            _ripple_add(acc, (control,))
+        assert acc == out[p:]
+
+    def test_carry_out_raises(self):
+        # two basis states holding 3 and 2 in two bits; adding 1 to both overflows the first
+        acc = [0b01, 0b11]
+        _ripple_add(acc, (0b00,))
+        assert acc == [0b01, 0b11]
+        with pytest.raises(QbsError, match="overflow"):
+            _ripple_add(acc, (0b11,))
+
+    def test_replications_equal_the_pair_runs(self):
+        # SHA-256 of every raw total and estimate over the grid, computed when
+        # the engines ran the counter's and the adder's gate pairs
+        digest = hashlib.sha256()
+        for seed, (sample, B) in enumerate(replication_grid()):
+            for mode in [MODE_SEQUENTIAL] + [MODE_PARALLEL] * (sample.aggregate == "COUNT"):
+                replications = replicate(sample, B, mode, seed)
+                digest.update(replications.raw_counts().tobytes())
+                digest.update(replications.estimates().tobytes())
+        expected = "028f33bd9a1d640e6669e970132d4a99babeaa65d199719f0665aded3f133490"
+        assert digest.hexdigest() == expected
 
 
 class TestParallelReplication:
@@ -347,22 +427,6 @@ class TestReplicate:
         expected = replicate(sample, 4, mode, 7).raw_counts().tolist()
         for master in (np.uint64(7), np.int64(7)):
             assert replicate(sample, 4, mode, master).raw_counts().tolist() == expected
-
-    def test_built_totalers_do_not_reach_later_runs(self):
-        count = SampleResults((0, 1, 1, 0, 1, 0, 0, 1), population_size=16)
-        total = SampleResults((3, 0, 5, 7, 1, 2, 6, 4), population_size=16, aggregate="SUM")
-
-        def raws():
-            return [
-                replicate(s, 50, MODE_SEQUENTIAL, seed=9).raw_counts().tolist()
-                for s in (count, total)
-            ]
-
-        before = raws()
-        # the shapes those runs used: an 8-control counter, a 3 + 3 bit adder
-        build_counter(CounterSpec.for_controls(8)).x(8).x(9)
-        build_ripple_adder(6).x(6).cx(0, 12)
-        assert raws() == before
 
     @pytest.mark.parametrize("mode", [MODE_SEQUENTIAL, MODE_PARALLEL, MODE_ORACLE])
     def test_raw_count_range(self, mode):

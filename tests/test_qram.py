@@ -14,12 +14,11 @@ from qbs.qram import (
     build_value_qram,
     build_value_qsa,
     load_data_array,
-    lookup_gates,
 )
-from qbs.sim import basis_gates, sample, simulate
+from qbs.sim import sample, simulate
 from qbs.stats import chi_square_gof
 
-from helpers import basis_prep, value_arrays
+from helpers import basis_prep
 
 
 def read_fragment(fragment: Circuit, address: int, address_width: int) -> tuple[int, int]:
@@ -121,10 +120,6 @@ class TestValueQram:
             addr_out, value = read_fragment(fragment, address, 2)
             assert value == values[address]
             assert addr_out == address
-
-    @given(value_arrays(8, 6))
-    def test_lookup_gates_are_the_circuit_gates(self, data):
-        assert tuple(lookup_gates(data)) == basis_gates(build_value_qram(data))
 
     def test_value_qsa_draws_stored_values(self):
         data = ValueDataArray((5, 2, 7, 0), width=3)

@@ -150,7 +150,7 @@ class TestSample:
         assert p > 0.001
 
     def test_same_seed_same_counts(self):
-        circ = Circuit(2).h(0).cx(0, 1)
+        circ = Circuit(2).h(0).append_pairs([((0,), 1)])
         assert sample(circ, 500, seed=9) == sample(circ, 500, seed=9)
 
     def test_zero_shots_rejected(self):
