@@ -118,6 +118,9 @@ class TableData:
     def __post_init__(self):
         if not self.columns:
             raise ValueError("table needs at least one column")
+        if len(set(self.columns)) != len(self.columns):
+            duplicate = next(c for i, c in enumerate(self.columns) if c in self.columns[:i])
+            raise ValueError(f"duplicate column {duplicate!r}")
         if not self.rows:
             raise ValueError("table is empty")
 
@@ -138,6 +141,12 @@ def _coerce_column(raw: list[str]) -> list[Value]:
 
 
 def _load_csv(path: Path) -> TableData:
+    """Read a CSV table into one list per column, then type each column.
+
+    Each stripped field passes through its column's memo dict, so a text that
+    repeats in a column is stored once. Each raw column is typed by
+    ``_coerce_column`` and dropped before the row tuples are built.
+    """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -145,7 +154,8 @@ def _load_csv(path: Path) -> TableData:
         except StopIteration:
             raise ValueError(f"{path}: empty file") from None
         columns = tuple(name.strip() for name in header)
-        raw_rows: list[list[str]] = []
+        raw: list[list[str]] = [[] for _ in columns]
+        memos: list[dict[str, str]] = [{} for _ in columns]
         for line_no, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -153,12 +163,16 @@ def _load_csv(path: Path) -> TableData:
                 raise ValueError(
                     f"{path}:{line_no}: expected {len(columns)} fields, got {len(row)}"
                 )
-            raw_rows.append([field.strip() for field in row])
-    if not raw_rows:
+            for field, column, memo in zip(row, raw, memos):
+                field = field.strip()
+                column.append(memo.setdefault(field, field))
+    del memos
+    # a blank header line gives no columns, and then no row can be read
+    if not raw or not raw[0]:
         raise ValueError(f"{path}: no data rows")
-    typed = [_coerce_column([r[i] for r in raw_rows]) for i in range(len(columns))]
-    rows = tuple(zip(*typed))
-    return TableData(columns, rows)
+    raw.reverse()
+    typed = [_coerce_column(raw.pop()) for _ in columns]
+    return TableData(columns, tuple(zip(*typed)))
 
 
 def _load_json_table(path: Path) -> TableData:
@@ -177,7 +191,7 @@ def _load_json_table(path: Path) -> TableData:
         if len(row) != len(columns):
             raise ValueError(f"{path}: row {i} has {len(row)} fields, expected {len(columns)}")
         for v in row:
-            if not isinstance(v, (int, float, str)):
+            if isinstance(v, bool) or not isinstance(v, (int, float, str)):
                 raise ValueError(f"{path}: row {i} holds unsupported value {v!r}")
         rows.append(tuple(row))
     return TableData(columns, tuple(rows))
