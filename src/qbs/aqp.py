@@ -6,14 +6,12 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import operator
-from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from statistics import NormalDist
-from typing import Callable, Iterator, Sequence
-
-import numpy as np
+from typing import Callable, Sequence
 
 from .bootstrap import (
     AGGREGATES,
@@ -140,12 +138,19 @@ def _coerce_column(raw: list[str]) -> list[Value]:
         return list(raw)
 
 
+# rows read before each column's memo is checked; a memo holding more distinct
+# texts than half of them saves too little to keep
+_MEMO_CHECK_ROWS = 1024
+
+
 def _load_csv(path: Path) -> TableData:
     """Read a CSV table into one list per column, then type each column.
 
     Each stripped field passes through its column's memo dict, so a text that
-    repeats in a column is stored once. Each raw column is typed by
-    ``_coerce_column`` and dropped before the row tuples are built.
+    repeats in a column is stored once. After ``_MEMO_CHECK_ROWS`` rows, a
+    column whose memo holds more than half of them keeps its texts as read
+    and its memo is dropped. Each raw column is typed by ``_coerce_column``
+    and dropped before the row tuples are built.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -155,7 +160,8 @@ def _load_csv(path: Path) -> TableData:
             raise ValueError(f"{path}: empty file") from None
         columns = tuple(name.strip() for name in header)
         raw: list[list[str]] = [[] for _ in columns]
-        memos: list[dict[str, str]] = [{} for _ in columns]
+        # keep(text, text) returns the column's stored copy of the text
+        keeps = [{}.setdefault for _ in columns]
         for line_no, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -163,10 +169,16 @@ def _load_csv(path: Path) -> TableData:
                 raise ValueError(
                     f"{path}:{line_no}: expected {len(columns)} fields, got {len(row)}"
                 )
-            for field, column, memo in zip(row, raw, memos):
+            for field, column, keep in zip(row, raw, keeps):
                 field = field.strip()
-                column.append(memo.setdefault(field, field))
-    del memos
+                column.append(keep(field, field))
+            if len(raw[0]) == _MEMO_CHECK_ROWS:
+                # an empty dict's get stores nothing and returns the text as read
+                keeps = [
+                    keep if 2 * len(keep.__self__) <= _MEMO_CHECK_ROWS else {}.get
+                    for keep in keeps
+                ]
+    del keeps
     # a blank header line gives no columns, and then no row can be read
     if not raw or not raw[0]:
         raise ValueError(f"{path}: no data rows")
@@ -238,7 +250,7 @@ def draw_sample(table: TableData, n: int, seed: int | None = None) -> DrawnSampl
         seed = fresh_seed()
     rng = make_rng(seed)
     picked = rng.choice(table.N, size=n, replace=False)
-    rows = tuple(table.rows[int(i)] for i in picked)
+    rows = tuple(map(table.rows.__getitem__, picked.tolist()))
     return DrawnSample(table.columns, rows, table.N, seed)
 
 
@@ -339,7 +351,11 @@ def bootstrap_se(replications: ReplicationSet) -> float:
     """Sample standard deviation of the replication estimates (B-1 divisor)."""
     if replications.B < 2:
         raise ValueError("standard error needs at least two replications")
-    return float(np.std(replications.estimates(), ddof=1))
+    # np.std(ddof=1)'s own steps, so the result is the same to the bit
+    estimates = replications.estimates()
+    deviations = estimates - estimates.sum() / replications.B
+    deviations *= deviations
+    return math.sqrt(deviations.sum() / (replications.B - 1))
 
 
 def z_percentile(alpha: float) -> float:
@@ -396,14 +412,23 @@ class BootstrapReport:
         }
 
 
-@contextmanager
-def _stage(name: str) -> Iterator[None]:
-    try:
-        yield
-    except PipelineError:
-        raise
-    except (QbsError, ValueError, KeyError) as exc:
-        raise PipelineError(name, str(exc)) from exc
+class _stage:
+    """Tag a ``QbsError``, ``ValueError`` or ``KeyError`` raised in the block as a
+    ``PipelineError`` of stage ``name``; a ``PipelineError`` passes unchanged."""
+
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        self.name = name
+
+    def __enter__(self) -> None:
+        pass
+
+    def __exit__(self, kind, exc, traceback) -> None:
+        if kind is not None and not issubclass(kind, PipelineError) and issubclass(
+            kind, (QbsError, ValueError, KeyError)
+        ):
+            raise PipelineError(self.name, str(exc)) from exc
 
 
 def assess_with_replications(

@@ -14,15 +14,18 @@ them. Three interchangeable engines produce the same distribution:
   resamples ``max(1, _DRAW_BLOCK // n)`` whole replications at a time, so
   its memory does not grow with B*n.
 
-Both quantum modes therefore run one pass, ``_quantum_raws``. The lookup
-only permutes basis states, so a measurement of the resampler is a uniform
-address with the data it reads: one packed basis run of the lookup's gate
-pairs (``qram.lookup_gates``) over all n addresses gives the n equally
-likely outcomes, with no statevector. Draws are i.i.d. shots, so one
+Both quantum modes therefore run one streaming pass, ``_quantum_raws``.
+The lookup only permutes basis states, so a measurement of the resampler
+is a uniform address with the data it reads. One walk over the lookup's
+gate pairs (``qram.lookup_gates``) gives the n equally likely outcomes:
+the X sandwich's mask names the one address each MCX fires on. No
+statevector and no basis run is needed. Draws are i.i.d. shots, so one
 generator, ``make_rng(seed)``, serves the call: draw k of replication j
-reads outcome ``floor(u*n)`` for uniform u = ``j*n + k`` of its stream.
-The totaling then runs on basis bits for all B replications at once,
-bit-sliced: each value bit of each drawn column is packed into one B-bit
+reads outcome ``floor(u*n)`` for uniform u = ``j*n + k`` of its stream,
+taken straight from the top log2(n) bits of the raw PCG64 word behind u.
+The draws come in blocks of whole bytes' worth of replications, and each
+block is packed into every value plane as it is drawn, so no (B, n) array
+exists. Bit k of drawn column c, for all B replications, is one B-bit
 Python int, bit j for replication j, and ``_ripple_add`` adds the columns
 into one accumulator. That is the net effect of the ripple adder
 (``counter.adder_gates``) on basis states, and for a 1-bit COUNT column
@@ -41,7 +44,6 @@ import numpy as np
 from .errors import QbsError
 from .qram import ValueDataArray, lookup_gates
 from .rng import fresh_seed, make_rng
-from .sim import run_basis_bits
 
 MODE_SEQUENTIAL = "quantum_sequential"
 MODE_PARALLEL = "quantum_parallel"
@@ -151,15 +153,8 @@ def _require_power_of_two(n: int) -> int:
 # draws per block, whose temporaries grow with the block
 _DRAW_BLOCK = 2**18
 
-
-def _pack(bits: np.ndarray) -> list[int]:
-    """Columns of a (B, m) array as m words: bit j of word k is set where ``bits[j, k]`` is nonzero.
-
-    ``np.packbits`` packs any nonzero entry as 1, so a masked array such as
-    ``drawn & 1 << k`` packs as it is, with no second temporary.
-    """
-    packed = np.packbits(bits, axis=0, bitorder="little")
-    return [int.from_bytes(column.tobytes(), "little") for column in packed.T]
+# bit g of a packed byte is its replication 8i+g
+_BYTE_WEIGHTS = (1 << np.arange(8, dtype=np.uint8))[:, None]
 
 
 def _unpack(words: list[int], B: int) -> np.ndarray:
@@ -175,36 +170,28 @@ def _unpack(words: list[int], B: int) -> np.ndarray:
 def _outcome_table(data: ValueDataArray) -> np.ndarray:
     """The data of the resampler's n equally likely outcomes, in basis-index order.
 
-    The lookup runs on all n addresses at once (bit j of address word q is
-    bit q of j). Outcome ``address + (data << a)`` holds the data above the
-    address, so the values ascend; they take the smallest unsigned dtype.
+    One walk over the lookup's pairs: an X on address qubit q toggles bit q
+    of the sandwich mask, and an MCX on all address qubits flips data bit
+    ``target - a`` at the one address it fires on, ``(n-1) ^ mask``. Any
+    other pair, or a mask left set at the end, raises ``QbsError``.
+    Outcome ``address + (data << a)`` holds the data above the address, so
+    the values ascend; they take the smallest unsigned dtype.
     """
     n, a = len(data.values), data.address_width
-    ones = (1 << n) - 1
-    # from bit 0 up, ones // (2^(2^q) + 1) repeats 2^q ones then 2^q zeros; word q flips it
-    addresses = [ones ^ ones // ((1 << (1 << q)) + 1) for q in range(a)]
-    words = run_basis_bits(lookup_gates(data), addresses + [0] * data.width, n)
-    table = np.sort(_unpack(words[a:], n))
-    return table.astype(np.min_scalar_type(table[-1]))
-
-
-def _measure(table: np.ndarray, B: int, seed: int) -> np.ndarray:
-    """B replications of n measurements, drawn in blocks of at most ``_DRAW_BLOCK``.
-
-    Draw k of replication j reads ``table[floor(u*n)]``, u being uniform
-    ``j*n + k`` of ``make_rng(seed)``.
-    """
-    n = len(table)
-    rng = make_rng(seed)
-    rows = max(1, _DRAW_BLOCK // n)
-    drawn = np.empty((B, n), dtype=table.dtype)
-    for j in range(0, B, rows):
-        uniforms = rng.random((min(rows, B - j), n))
-        # u*n is exact for power-of-two n, so truncating it is the uniform
-        # measurement; the smallest index dtype keeps the temporaries small
-        uniforms *= n
-        drawn[j:j + rows] = table[uniforms.astype(np.min_scalar_type(n - 1))]
-    return drawn
+    address_qubits, top = tuple(range(a)), a + data.width
+    found = [0] * n
+    mask = 0
+    for controls, target in lookup_gates(data):
+        if not controls and target < a:
+            mask ^= 1 << target
+        elif controls == address_qubits and a <= target < top:
+            found[(n - 1) ^ mask] ^= 1 << (target - a)
+        else:
+            raise QbsError(f"lookup pair {controls} -> {target} is no sandwich X or address MCX")
+    if mask:
+        raise QbsError("lookup leaves its address X gates unpaired")
+    found.sort()
+    return np.array(found, dtype=np.min_scalar_type(found[-1]))
 
 
 def _ripple_add(acc: list[int], operand) -> None:
@@ -226,17 +213,45 @@ def _ripple_add(acc: list[int], operand) -> None:
 
 
 def _quantum_raws(sample: SampleResults, B: int, seed: int) -> np.ndarray:
-    """Raw totals of B quantum replications, measured and then totaled at once."""
+    """Raw totals of B quantum replications, drawn and packed block by block, then totaled.
+
+    Draw k of replication j reads ``table[floor(u*n)]``, u being uniform
+    ``j*n + k`` of ``make_rng(seed)``. Each block of whole bytes' worth of
+    replications is packed into every value plane as it is drawn; the last
+    block is padded to a whole byte with draws past replication B, whose
+    totals ``_unpack`` drops.
+    """
     n = sample.n
     log_n = _require_power_of_two(n)
     width = max(1, max(sample.values).bit_length())
-    drawn = _measure(_outcome_table(ValueDataArray(sample.values, width)), B, seed)
-    # planes[k][j]: bit k of drawn column j, for every replication
-    planes = [_pack(drawn & 1 << k) for k in range(width)]
+    table = _outcome_table(ValueDataArray(sample.values, width))
+    size = (B + 7) // 8
+    # planes[k, i, c]: byte i of the word holding bit k of drawn column c
+    planes = np.empty((width, size, n), np.uint8)
+    step = max(1, _DRAW_BLOCK // n // 8)
+    generator = make_rng(seed).bit_generator
+    for i in range(0, size, step):
+        count = min(step, size - i)
+        # random() turns raw word r into u = (r >> 11) / 2^53, so for n = 2^a
+        # floor(u*n) is exactly r >> (64 - a), 0 when a = 0; a sample size
+        # that is no power of two would need u*n in floating point again
+        picks = generator.random_raw((8 * count, n))
+        picks >>= 64 - log_n
+        drawn = table[picks.view(np.int64)].reshape(count, 8, n)
+        bits = np.empty(drawn.shape, np.uint8)
+        for k in range(width):
+            np.bitwise_and(drawn >> k, 1, out=bits, casting="unsafe")
+            bits *= _BYTE_WEIGHTS
+            np.add.reduce(bits, axis=1, dtype=np.uint8, out=planes[k, i:i + count])
+    # column c's width words of size bytes each, one after the other
+    words = planes.transpose(2, 0, 1).tobytes()
+    del planes
     # width + log2(n) bits always hold the full resample total
     acc = [0] * (width + log_n)
-    for column in zip(*planes):
-        _ripple_add(acc, column)
+    column = width * size
+    for c in range(0, n * column, column):
+        _ripple_add(acc, [int.from_bytes(words[o:o + size], "little")
+                          for o in range(c, c + column, size)])
     return _unpack(acc, B)
 
 

@@ -7,8 +7,8 @@ uncompute the pattern. Address qubits are therefore untouched on basis
 inputs, and addresses in superposition read all cells at once.
 
 ``lookup_gates`` defines that sequence once, as ``(controls, target)``
-pairs: the builders wrap them into gates, and the engines run them on
-packed basis states to read every address at once.
+pairs: the builders wrap them into gates, and the engines walk them once
+to read which data every address holds.
 """
 
 from __future__ import annotations

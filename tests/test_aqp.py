@@ -8,6 +8,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from qbs.aqp import (
+    _MEMO_CHECK_ROWS,
     Condition,
     QuerySpec,
     TableData,
@@ -84,6 +85,19 @@ class TestLoadTable:
         path.write_text("id,region\n" + "".join(f"{i}, {regions[i % 3]}\n" for i in range(300)))
         loaded = [region for _, region in load_table(path).rows]
         assert len({id(r) for r in loaded}) == 3
+
+    def test_unique_and_repeated_columns_match_rowwise_parse(self, tmp_path):
+        # "unique" never repeats, so its memo is dropped at the check; "late"
+        # is unique up to the check and repeats after it; "rep" repeats
+        rows = 3 * _MEMO_CHECK_ROWS
+        text = "unique,rep,late\n" + "".join(
+            f"u{i}, r{i % 5} ,{i if i < 2 * _MEMO_CHECK_ROWS else i % 7}\n" for i in range(rows)
+        )
+        path = tmp_path / "t.csv"
+        path.write_text(text)
+        table = load_table(path)
+        assert (table.columns, table.rows) == parse_rowwise(text)
+        assert len({id(row[1]) for row in table.rows}) == 5
 
     def test_load_peak_memory(self, tmp_path):
         # tracemalloc peak of this load on Python 3.11: 19.05 MiB when the
@@ -354,6 +368,17 @@ class TestBootstrapSe:
         assert bootstrap_se(self._set(list(reversed(values)))) == pytest.approx(
             direct, abs=1e-12
         )
+
+    def test_equals_numpy_std_to_the_bit(self):
+        rng = np.random.default_rng(5)
+        for _ in range(2000):
+            B = int(rng.integers(2, 300))
+            scale = 10.0 ** rng.integers(-3, 12)
+            estimates = rng.standard_normal(B) * scale + rng.integers(-5, 6) * scale
+            if rng.random() < 0.1:
+                estimates = np.full(B, estimates[0])
+            replications = ReplicationSet(np.zeros(B, np.int64), estimates, MODE_ORACLE, 0)
+            assert bootstrap_se(replications) == float(np.std(estimates, ddof=1))
 
     def test_binomial_plug_in_target(self, alternating_sample):
         from qbs.bootstrap import classical_bootstrap_oracle

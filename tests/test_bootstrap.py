@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from qbs.bootstrap import (
@@ -22,7 +22,7 @@ from qbs.bootstrap import (
 from qbs.circuit import register_value
 from qbs.counter import CounterSpec, adder_gates, build_counter, counter_gates
 from qbs.errors import QbsError
-from qbs.qram import BitDataArray, build_qsa, build_value_qsa
+from qbs.qram import BitDataArray, ValueDataArray, build_qsa, build_value_qsa, lookup_gates
 from qbs.rng import make_rng
 from qbs.sim import run_basis, run_basis_bits, simulate
 from qbs.stats import chi_square_gof, chi_square_two_sample, raw_count_histogram
@@ -182,13 +182,26 @@ class TestSeedStream:
 
     def test_draw_blocks_continue_the_seed_stream(self):
         sample = SampleResults(tuple(int(k % 3 == 0) for k in range(256)), 512)
-        assert 256 * 1024 <= _DRAW_BLOCK < 256 * 1100  # so B=1100 spans two blocks
+        # so B=1100 and B=1027, whose last block is padded to a whole byte, span two blocks
+        assert 256 * 1024 <= _DRAW_BLOCK < 256 * 1027
         expected = reference_raws(sample, 19, range(1020, 1031))
         for mode in (MODE_SEQUENTIAL, MODE_PARALLEL):
             full = replicate(sample, 1100, mode, seed=19).raw_counts().tolist()
             head = replicate(sample, 1024, mode, seed=19).raw_counts().tolist()
-            assert full[:1024] == head
+            padded = replicate(sample, 1027, mode, seed=19).raw_counts().tolist()
+            assert full[:1024] == head == padded[:1024]
             assert full[1020:1031] == expected
+            assert padded[1020:] == expected[:7]
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1, 2**70 + 5])
+    def test_raw_words_give_the_uniform_draws(self, seed):
+        # the engines read draw floor(u * 2^a) as the top a bits of the raw
+        # 64-bit word that random() turns into u
+        for a in range(21):
+            raw = make_rng(seed).bit_generator.random_raw(4096)
+            raw >>= 64 - a
+            expected = np.floor(make_rng(seed).random(4096) * 2**a).astype(np.int64)
+            assert (raw.view(np.int64) == expected).all()
 
 
 class TestOutcomeTable:
@@ -203,6 +216,38 @@ class TestOutcomeTable:
         assert np.ptp(probs[support]) <= 1e-12
         expected = register_value(support, qsa.register("data")).tolist()
         assert _outcome_table(data).tolist() == expected
+
+    @given(value_arrays(7, 8))
+    @example(ValueDataArray((5,), 3))
+    @example(ValueDataArray((0, 0, 0, 0), 2))
+    def test_walk_equals_the_batch_run(self, data):
+        # the lookup run on all n addresses at once: bit j of address word q
+        # is bit q of j, and data word k then holds bit k of every address's data
+        n, a = len(data.values), data.address_width
+        ones = (1 << n) - 1
+        addresses = [ones ^ ones // ((1 << (1 << q)) + 1) for q in range(a)]
+        words = run_basis_bits(lookup_gates(data), addresses + [0] * data.width, n)
+        found = sorted(
+            sum((words[a + k] >> j & 1) << k for k in range(data.width)) for j in range(n)
+        )
+        table = _outcome_table(data)
+        assert table.tolist() == found
+        assert table.dtype == np.min_scalar_type(found[-1])
+
+    @pytest.mark.parametrize(
+        "pairs",
+        [
+            [((0,), 2)],  # an MCX on only some address qubits
+            [((), 2)],  # an X on a data qubit
+            [((0, 1), 4)],  # a target past the data register
+            [((), 0)],  # a sandwich X left unpaired
+        ],
+        ids=["partial-controls", "data-x", "past-data", "unpaired-x"],
+    )
+    def test_walk_rejects_other_pair_shapes(self, monkeypatch, pairs):
+        monkeypatch.setattr("qbs.bootstrap.lookup_gates", lambda data: iter(pairs))
+        with pytest.raises(QbsError):
+            _outcome_table(ValueDataArray((1, 2, 3, 0), 2))
 
 
 def words(count: int, batch: int):
