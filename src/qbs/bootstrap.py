@@ -10,29 +10,28 @@ them. Three interchangeable engines produce the same distribution:
   counter, COUNT only. The counter permutes basis states, so measuring
   each block first gives the same distribution (deferred measurement).
 * ``classical_oracle``: plain seeded resampling, the reference the
-  quantum engines are validated against. It draws and totals its
-  resamples ``max(1, _DRAW_BLOCK // n)`` whole replications at a time, so
-  its memory does not grow with B*n.
+  quantum engines are validated against.
 
-Both quantum modes therefore run one streaming pass, ``_quantum_raws``.
-The lookup only permutes basis states, so a measurement of the resampler
-is a uniform address with the data it reads. One walk over the lookup's
-gate pairs (``qram.lookup_gates``) gives the n equally likely outcomes:
-the X sandwich's mask names the one address each MCX fires on. No
-statevector and no basis run is needed. Draws are i.i.d. shots, so one
-generator, ``make_rng(seed)``, serves the call: draw k of replication j
-reads outcome ``floor(u*n)`` for uniform u = ``j*n + k`` of its stream,
-taken straight from the top log2(n) bits of the raw PCG64 word behind u.
-The draws come in blocks of whole bytes' worth of replications, and each
-block is packed into every value plane as it is drawn, so no (B, n) array
-exists. Bit k of drawn column c, for all B replications, is one B-bit
-Python int, bit j for replication j, and ``_ripple_add`` adds the columns
-into one accumulator. That is the net effect of the ripple adder
-(``counter.adder_gates``) on basis states, and for a 1-bit COUNT column
-that of the counter (``counter.counter_gates``), whose register it is.
-All three engines hand their raw totals to ``_replication_set``, which
-scales them into estimates with one division; a ``ReplicationSet`` holds
-both as read-only arrays, int64 totals and float64 estimates.
+Both quantum modes therefore run one pass, ``_quantum_raws``. The lookup
+only permutes basis states, so a measurement of the resampler is a
+uniform basis index, an address with the data it reads. Its outcome
+``address + (data << log2 n)`` holds the data above the address, so in
+basis-index order the n equally likely outcomes read the sample's values
+ascending: ``np.sort(values)`` is the outcome table. No statevector and no
+basis run is needed. Draws are i.i.d. shots, so one generator,
+``make_rng(seed)``, serves the call: draw k of replication j reads
+outcome ``floor(u*n)`` for uniform u = ``j*n + k`` of its stream, taken
+straight from the top log2(n) bits of the raw PCG64 word behind u. The
+counter and the ripple adder (``counter.counter_gates``,
+``counter.adder_gates``) only add what was measured, so a replication's
+total is the integer sum of its drawn values.
+
+All three engines draw and total in ``_blocked_totals``, ``max(1,
+_DRAW_BLOCK // n)`` whole replications at a time, so their memory does not
+grow with B*n; the oracle differs only in drawing ``rng.integers(0, n)``
+over the unsorted values. Their raw totals go to ``_replication_set``,
+which scales them into estimates with one division; a ``ReplicationSet``
+holds both as read-only arrays, int64 totals and float64 estimates.
 """
 
 from __future__ import annotations
@@ -41,8 +40,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import QbsError
-from .qram import ValueDataArray, lookup_gates
 from .rng import fresh_seed, make_rng
 
 MODE_SEQUENTIAL = "quantum_sequential"
@@ -153,106 +150,46 @@ def _require_power_of_two(n: int) -> int:
 # draws per block, whose temporaries grow with the block
 _DRAW_BLOCK = 2**18
 
-# bit g of a packed byte is its replication 8i+g
-_BYTE_WEIGHTS = (1 << np.arange(8, dtype=np.uint8))[:, None]
 
+def _blocked_totals(table: np.ndarray, B: int, draw) -> np.ndarray:
+    """Raw totals of B replications, drawn and totaled block by block.
 
-def _unpack(words: list[int], B: int) -> np.ndarray:
-    """The B totals whose bit k is, in replication j, bit j of ``words[k]``."""
-    size = (B + 7) // 8
-    packed = np.frombuffer(b"".join(word.to_bytes(size, "little") for word in words), np.uint8)
-    bits = np.unpackbits(packed.reshape(len(words), size), axis=1, count=B, bitorder="little")
-    totals = bits.astype(np.int64)
-    totals <<= np.arange(len(words))[:, None]
-    return totals.sum(axis=0)
-
-
-def _outcome_table(data: ValueDataArray) -> np.ndarray:
-    """The data of the resampler's n equally likely outcomes, in basis-index order.
-
-    One walk over the lookup's pairs: an X on address qubit q toggles bit q
-    of the sandwich mask, and an MCX on all address qubits flips data bit
-    ``target - a`` at the one address it fires on, ``(n-1) ^ mask``. Any
-    other pair, or a mask left set at the end, raises ``QbsError``.
-    Outcome ``address + (data << a)`` holds the data above the address, so
-    the values ascend; they take the smallest unsigned dtype.
+    ``draw(shape)`` returns the next ``shape`` indices into ``table`` from
+    one generator, which fills them row-major; replication j totals row j.
+    Blocks of ``max(1, _DRAW_BLOCK // n)`` rows consume the stream one
+    (B, n) draw would, so no (B, n) array exists and the totals are the same.
     """
-    n, a = len(data.values), data.address_width
-    address_qubits, top = tuple(range(a)), a + data.width
-    found = [0] * n
-    mask = 0
-    for controls, target in lookup_gates(data):
-        if not controls and target < a:
-            mask ^= 1 << target
-        elif controls == address_qubits and a <= target < top:
-            found[(n - 1) ^ mask] ^= 1 << (target - a)
-        else:
-            raise QbsError(f"lookup pair {controls} -> {target} is no sandwich X or address MCX")
-    if mask:
-        raise QbsError("lookup leaves its address X gates unpaired")
-    found.sort()
-    return np.array(found, dtype=np.min_scalar_type(found[-1]))
-
-
-def _ripple_add(acc: list[int], operand) -> None:
-    """Add the operand words into the accumulator words in place, bit-sliced.
-
-    Word k holds bit k of every batch state: sum bit ``a ^ b ^ carry``,
-    carry ``maj(a, b, carry)``, stopping once the operand is spent and the
-    carry is 0. A carry out of the accumulator raises ``QbsError``.
-    """
-    carry = 0
-    for k, a in enumerate(acc):
-        if k >= len(operand) and not carry:
-            return
-        b = operand[k] if k < len(operand) else 0
-        acc[k] = a ^ b ^ carry
-        carry = a & b | carry & (a ^ b)
-    if carry:
-        raise QbsError("accumulator overflow; widths were sized wrong")
+    n = len(table)
+    rows = max(1, _DRAW_BLOCK // n)
+    raws = np.empty(B, dtype=np.int64)
+    for j in range(0, B, rows):
+        # picks outlives the gather: freeing both blocks at once lets malloc
+        # return them to the OS, and each block then faults its pages afresh
+        picks = draw((min(rows, B - j), n))
+        table[picks].sum(axis=1, out=raws[j:j + rows])
+    return raws
 
 
 def _quantum_raws(sample: SampleResults, B: int, seed: int) -> np.ndarray:
-    """Raw totals of B quantum replications, drawn and packed block by block, then totaled.
+    """Raw totals of B quantum replications.
 
     Draw k of replication j reads ``table[floor(u*n)]``, u being uniform
-    ``j*n + k`` of ``make_rng(seed)``. Each block of whole bytes' worth of
-    replications is packed into every value plane as it is drawn; the last
-    block is padded to a whole byte with draws past replication B, whose
-    totals ``_unpack`` drops.
+    ``j*n + k`` of ``make_rng(seed)``.
     """
-    n = sample.n
-    log_n = _require_power_of_two(n)
-    width = max(1, max(sample.values).bit_length())
-    table = _outcome_table(ValueDataArray(sample.values, width))
-    size = (B + 7) // 8
-    # planes[k, i, c]: byte i of the word holding bit k of drawn column c
-    planes = np.empty((width, size, n), np.uint8)
-    step = max(1, _DRAW_BLOCK // n // 8)
+    log_n = _require_power_of_two(sample.n)
     generator = make_rng(seed).bit_generator
-    for i in range(0, size, step):
-        count = min(step, size - i)
+
+    def draw(shape):
         # random() turns raw word r into u = (r >> 11) / 2^53, so for n = 2^a
         # floor(u*n) is exactly r >> (64 - a), 0 when a = 0; a sample size
         # that is no power of two would need u*n in floating point again
-        picks = generator.random_raw((8 * count, n))
+        picks = generator.random_raw(shape)
         picks >>= 64 - log_n
-        drawn = table[picks.view(np.int64)].reshape(count, 8, n)
-        bits = np.empty(drawn.shape, np.uint8)
-        for k in range(width):
-            np.bitwise_and(drawn >> k, 1, out=bits, casting="unsafe")
-            bits *= _BYTE_WEIGHTS
-            np.add.reduce(bits, axis=1, dtype=np.uint8, out=planes[k, i:i + count])
-    # column c's width words of size bytes each, one after the other
-    words = planes.transpose(2, 0, 1).tobytes()
-    del planes
-    # width + log2(n) bits always hold the full resample total
-    acc = [0] * (width + log_n)
-    column = width * size
-    for c in range(0, n * column, column):
-        _ripple_add(acc, [int.from_bytes(words[o:o + size], "little")
-                          for o in range(c, c + column, size)])
-    return _unpack(acc, B)
+        return picks.view(np.int64)
+
+    # the resampler's n outcomes, in basis-index order, hold the values ascending
+    table = np.sort(np.asarray(sample.values, dtype=np.int64))
+    return _blocked_totals(table, B, draw)
 
 
 def replicate(
@@ -291,11 +228,5 @@ def classical_bootstrap_oracle(
     n = sample.n
     rng = make_rng(seed)
     values = np.asarray(sample.values, dtype=np.int64)
-    rows = max(1, _DRAW_BLOCK // n)
-    raws = np.empty(B, dtype=np.int64)
-    # the generator fills its integers row-major, so the blocks consume the
-    # stream one (B, n) call would, and the replications are the same
-    for j in range(0, B, rows):
-        picks = rng.integers(0, n, size=(min(rows, B - j), n))
-        values[picks].sum(axis=1, out=raws[j:j + rows])
+    raws = _blocked_totals(values, B, lambda shape: rng.integers(0, n, size=shape))
     return _replication_set(sample, raws, MODE_ORACLE, seed)

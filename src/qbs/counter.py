@@ -8,8 +8,9 @@ so the inner loop must run downward.
 
 ``counter_gates`` and ``adder_gates`` define each gate sequence once, as
 ``(controls, target)`` pairs: the builders wrap them into gates. The
-engines total by the circuits' net effect instead (``bootstrap._ripple_add``);
-the pairs run on packed basis states (``sim.run_basis_bits``) are its check.
+engines total by the circuits' net effect instead, the integer sum of the
+drawn values; the tests run the pairs on packed basis states
+(``sim.run_basis_bits``) as its check.
 """
 
 from __future__ import annotations

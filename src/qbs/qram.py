@@ -7,7 +7,7 @@ uncompute the pattern. Address qubits are therefore untouched on basis
 inputs, and addresses in superposition read all cells at once.
 
 ``lookup_gates`` defines that sequence once, as ``(controls, target)``
-pairs: the builders wrap them into gates, and the engines walk them once
+pairs: the builders wrap them into gates, and the tests walk them once
 to read which data every address holds.
 """
 

@@ -11,10 +11,11 @@ A circuit of X/CX/CCX/MCX gates maps each basis state to one basis state,
 so it runs on basis bits with no statevector. ``run_basis_bits`` runs
 ``(controls, target)`` pairs on packed words: bit j of word q is qubit q of
 batch state j, so one pass evaluates a whole batch (Biham's bit-slicing).
-The engines run no pairs: they walk the lookup's pairs
-(``qram.lookup_gates``) for its outcome table. Batch runs of the lookup's,
-the counter's and the adder's pairs (``counter.counter_gates``,
-``counter.adder_gates``) check the engines in the tests. ``basis_gates``
+The engines run no pairs: they read the resampler's outcome table off
+the sorted sample values and add integers. Batch runs of the lookup's
+(``qram.lookup_gates``), the counter's and the adder's pairs
+(``counter.counter_gates``, ``counter.adder_gates``) check them in the
+tests. ``basis_gates``
 reduces a built circuit to the same pairs, and ``run_basis`` runs one on a
 single basis index.
 """

@@ -4,7 +4,8 @@ Everything here recomputes expected behavior through a different route
 than the implementation: dense matrices and index permutations instead of
 axis slicing, ``math.comb`` instead of sampling, direct array lookups,
 a trivial row interpreter for predicates, the paper's full-width
-parallel circuit that the parallel engine samples block by block, and
+parallel circuit that the parallel engine samples block by block, a
+walk over the lookup's gate pairs for the resampler's outcomes, and
 quantum replications drawn one scalar uniform at a time from the
 resampler's statevector and summed as ints.
 """
@@ -21,7 +22,8 @@ from hypothesis import strategies as st
 from qbs.bootstrap import SampleResults
 from qbs.circuit import Circuit, GateKind
 from qbs.counter import CounterSpec, build_counter
-from qbs.qram import BitDataArray, ValueDataArray, build_qsa, build_value_qsa
+from qbs.errors import QbsError
+from qbs.qram import BitDataArray, ValueDataArray, build_qsa, build_value_qsa, lookup_gates
 from qbs.rng import make_rng
 from qbs.sim import simulate
 
@@ -136,6 +138,32 @@ def build_parallel_replication_circuit(sample: SampleResults) -> Circuit:
     data_qubits = [k * block + a for k in range(n)]
     circuit.extend(build_counter(spec), data_qubits + list(range(n * block, total)))
     return circuit
+
+
+def outcome_table(data: ValueDataArray) -> list[int]:
+    """The data of the resampler's n equally likely outcomes, in basis-index order.
+
+    One walk over the lookup's pairs: an X on address qubit q toggles bit q
+    of the sandwich mask, and an MCX on all address qubits flips data bit
+    ``target - a`` at the one address it fires on, ``(n-1) ^ mask``. Any
+    other pair, or a mask left set at the end, raises ``QbsError``. Outcome
+    ``address + (data << a)`` holds the data above the address, so in
+    basis-index order the data ascend; the table holds the data alone.
+    """
+    n, a = len(data.values), data.address_width
+    address_qubits, top = tuple(range(a)), a + data.width
+    found = [0] * n
+    mask = 0
+    for controls, target in lookup_gates(data):
+        if not controls and target < a:
+            mask ^= 1 << target
+        elif controls == address_qubits and a <= target < top:
+            found[(n - 1) ^ mask] ^= 1 << (target - a)
+        else:
+            raise QbsError(f"lookup pair {controls} -> {target} is no sandwich X or address MCX")
+    if mask:
+        raise QbsError("lookup leaves its address X gates unpaired")
+    return sorted(found)
 
 
 def reference_raws(sample: SampleResults, seed: int, replications) -> list[int]:

@@ -14,8 +14,6 @@ from qbs.bootstrap import (
     MODE_SEQUENTIAL,
     MODES,
     SampleResults,
-    _outcome_table,
-    _ripple_add,
     classical_bootstrap_oracle,
     replicate,
 )
@@ -31,6 +29,7 @@ from helpers import (
     binom_pmf,
     binom_pmf_vector,
     build_parallel_replication_circuit,
+    outcome_table,
     reference_raws,
     value_arrays,
 )
@@ -182,7 +181,7 @@ class TestSeedStream:
 
     def test_draw_blocks_continue_the_seed_stream(self):
         sample = SampleResults(tuple(int(k % 3 == 0) for k in range(256)), 512)
-        # so B=1100 and B=1027, whose last block is padded to a whole byte, span two blocks
+        # so B=1100 and B=1027 span two blocks, the first of 1024 replications
         assert 256 * 1024 <= _DRAW_BLOCK < 256 * 1027
         expected = reference_raws(sample, 19, range(1020, 1031))
         for mode in (MODE_SEQUENTIAL, MODE_PARALLEL):
@@ -205,6 +204,8 @@ class TestSeedStream:
 
 
 class TestOutcomeTable:
+    """The engine's outcome table, ``np.sort(values)``, against the lookup it stands for."""
+
     @given(value_arrays(6, 5))
     def test_equals_the_statevector_outcomes(self, data):
         # measuring the resampler gives n equally likely outcomes; their data,
@@ -215,7 +216,7 @@ class TestOutcomeTable:
         assert support.size == len(data.values)
         assert np.ptp(probs[support]) <= 1e-12
         expected = register_value(support, qsa.register("data")).tolist()
-        assert _outcome_table(data).tolist() == expected
+        assert np.sort(data.values).tolist() == expected
 
     @given(value_arrays(7, 8))
     @example(ValueDataArray((5,), 3))
@@ -227,12 +228,8 @@ class TestOutcomeTable:
         ones = (1 << n) - 1
         addresses = [ones ^ ones // ((1 << (1 << q)) + 1) for q in range(a)]
         words = run_basis_bits(lookup_gates(data), addresses + [0] * data.width, n)
-        found = sorted(
-            sum((words[a + k] >> j & 1) << k for k in range(data.width)) for j in range(n)
-        )
-        table = _outcome_table(data)
-        assert table.tolist() == found
-        assert table.dtype == np.min_scalar_type(found[-1])
+        found = sorted(states(words[a:], n))
+        assert outcome_table(data) == found == np.sort(data.values).tolist()
 
     @pytest.mark.parametrize(
         "pairs",
@@ -245,14 +242,19 @@ class TestOutcomeTable:
         ids=["partial-controls", "data-x", "past-data", "unpaired-x"],
     )
     def test_walk_rejects_other_pair_shapes(self, monkeypatch, pairs):
-        monkeypatch.setattr("qbs.bootstrap.lookup_gates", lambda data: iter(pairs))
+        monkeypatch.setattr("helpers.lookup_gates", lambda data: iter(pairs))
         with pytest.raises(QbsError):
-            _outcome_table(ValueDataArray((1, 2, 3, 0), 2))
+            outcome_table(ValueDataArray((1, 2, 3, 0), 2))
 
 
 def words(count: int, batch: int):
     """Strategy: ``count`` words of ``batch`` bits, one bit per basis state."""
     return st.lists(st.integers(0, 2**batch - 1), min_size=count, max_size=count)
+
+
+def states(words: list[int], batch: int) -> list[int]:
+    """The register each of ``batch`` basis states holds: bit k of state j is bit j of word k."""
+    return [sum((word >> j & 1) << k for k, word in enumerate(words)) for j in range(batch)]
 
 
 def replication_grid():
@@ -269,35 +271,25 @@ def replication_grid():
 
 
 class TestRippleAdd:
-    """The totaler against the circuits it stands for, run as gate pairs on packed words."""
+    """The circuits, run as gate pairs on packed words, against the integer sums the engines take."""
 
     @given(st.integers(1, 8), st.integers(1, 70), st.data())
     def test_equals_the_ripple_adder(self, width, batch, data):
         a, b = data.draw(words(width, batch)), data.draw(words(width, batch))
-        # registers A, B, carry-in, carry-out; B gains A
+        # registers A, B, carry-in, carry-out; B and the carry-out gain A
         out = run_basis_bits(adder_gates(width), a + b + [0, 0], batch)
-        # one more accumulator word takes the carry-out instead of raising
-        acc = b + [0]
-        _ripple_add(acc, a)
-        assert acc == out[width:2 * width] + [out[-1]]
+        assert out[:width] == a and out[2 * width] == 0
+        sums = [x + y for x, y in zip(states(a, batch), states(b, batch))]
+        assert states(out[width:2 * width] + [out[-1]], batch) == sums
 
     @given(st.integers(1, 40), st.integers(0, 2), st.integers(1, 70), st.data())
     def test_equals_the_counter(self, p, extra, batch, data):
         spec = CounterSpec(p, p.bit_length() + extra)
         controls = data.draw(words(p, batch))
         out = run_basis_bits(counter_gates(spec), controls + [0] * spec.q, batch)
-        acc = [0] * spec.q
-        for control in controls:
-            _ripple_add(acc, (control,))
-        assert acc == out[p:]
-
-    def test_carry_out_raises(self):
-        # two basis states holding 3 and 2 in two bits; adding 1 to both overflows the first
-        acc = [0b01, 0b11]
-        _ripple_add(acc, (0b00,))
-        assert acc == [0b01, 0b11]
-        with pytest.raises(QbsError, match="overflow"):
-            _ripple_add(acc, (0b11,))
+        assert out[:p] == controls
+        counts = [sum(control >> j & 1 for control in controls) for j in range(batch)]
+        assert states(out[p:], batch) == counts
 
     def test_replications_equal_the_pair_runs(self):
         # SHA-256 of every raw total and estimate over the grid, computed when
@@ -419,13 +411,18 @@ class TestClassicalOracle:
         raws = classical_bootstrap_oracle(sample, 1000, seed=1).raw_counts()
         assert hashlib.sha256(raws.tobytes()).hexdigest() == expected
 
-    def test_memory_does_not_grow_with_b_times_n(self):
+    @pytest.mark.parametrize(
+        "aggregate, mode",
+        [("SUM", MODE_ORACLE), ("SUM", MODE_SEQUENTIAL), ("COUNT", MODE_PARALLEL)],
+        ids=["oracle-sum", "sequential-sum", "parallel-count"],
+    )
+    def test_memory_does_not_grow_with_b_times_n(self, aggregate, mode):
         # numpy reports its buffers to tracemalloc; one (B, n) draw here peaks near 250 MB
-        sample = SampleResults(tuple(16 + i // 2 % 16 for i in range(16384)),
-                               population_size=32768, aggregate="SUM")
+        values = [16 + i // 2 % 16 if aggregate == "SUM" else i % 2 for i in range(16384)]
+        sample = SampleResults(tuple(values), population_size=32768, aggregate=aggregate)
         tracemalloc.start()
         try:
-            classical_bootstrap_oracle(sample, 1000, seed=1)
+            replicate(sample, 1000, mode, seed=1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
