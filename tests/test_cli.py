@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import qbs.qram
 from qbs.circuit import Circuit, controlled_x
 from qbs.cli import main
 from qbs.counter import CounterSpec
@@ -53,6 +54,53 @@ CSV_REPLICATIONS = {
         "0,0,0.0 1,1,500.0 2,0,0.0 3,0,0.0 4,0,0.0 5,0,0.0 6,1,500.0 7,1,500.0",
     ),
 }
+
+
+# `assess -n 8 -B 40 --mode oracle --seed 3` for SUM(id) over the flag table:
+# more than 24 distinct estimates, so the histogram bins them
+BINNED_TEXT = """\
+assess  version=0.1.0  seed=3  mode=classical_oracle
+sample: n=8 of N=2000  (f=0.004)  B=40
+point estimate  1.85225e+06
+bootstrap se    285244
+90% CI        (1.38307e+06, 2.32143e+06)   [z=1.6449]
+
+replication estimates:
+[1.28725e+06, 1.34348e+06)  ███████                                   1
+[1.34348e+06, 1.39971e+06)                                            0
+[1.39971e+06, 1.45594e+06)  ████████████████████                      3
+[1.45594e+06, 1.51217e+06)  █████████████                             2
+ [1.51217e+06, 1.5684e+06)  ████████████████████                      3
+ [1.5684e+06, 1.62462e+06)                                            0
+[1.62462e+06, 1.68085e+06)  ████████████████████                      3
+[1.68085e+06, 1.73708e+06)  █████████████████████████████████         5
+[1.73708e+06, 1.79331e+06)  █████████████                             2
+[1.79331e+06, 1.84954e+06)  █████████████                             2
+[1.84954e+06, 1.90577e+06)  ████████████████████                      3
+  [1.90577e+06, 1.962e+06)  ████████████████████████████████████████  6
+  [1.962e+06, 2.01823e+06)  ███████                                   1
+[2.01823e+06, 2.07446e+06)  █████████████                             2
+[2.07446e+06, 2.13069e+06)  █████████████                             2
+[2.13069e+06, 2.18692e+06)  █████████████                             2
+[2.18692e+06, 2.24315e+06)                                            0
+[2.24315e+06, 2.29938e+06)  ███████                                   1
+ [2.29938e+06, 2.3556e+06)                                            0
+ [2.3556e+06, 2.41183e+06)                                            0
+[2.41183e+06, 2.46806e+06)  ███████                                   1
+[2.46806e+06, 2.52429e+06)                                            0
+[2.52429e+06, 2.58052e+06)                                            0
+[2.58052e+06, 2.63675e+06)  ███████                                   1
+"""
+
+
+def _corrupted_counter(spec: CounterSpec) -> Circuit:
+    # ascending inner loop breaks carry propagation
+    circuit = Circuit(spec.num_qubits)
+    for i in range(spec.p - 1, -1, -1):
+        for j in range(spec.q):
+            controls = (i,) + tuple(spec.p + k for k in range(j))
+            circuit.append(controlled_x(controls, spec.p + j))
+    return circuit
 
 
 @pytest.fixture
@@ -128,9 +176,33 @@ class TestQramTest:
         )
         out = capsys.readouterr().out
         assert code == 0
-        assert "address_binary,address_decimal,data_bit,count" in out
-        assert "# seed=5" in out
-        assert "\r" not in out
+        assert out == (
+            "# command=qram-test\n# version=0.1.0\n# seed=5\n# shots=1024\n"
+            "address_binary,address_decimal,data_bit,count\n"
+            "000,0,0,140\n001,1,1,118\n010,2,0,121\n011,3,1,129\n"
+            "100,4,0,139\n101,5,1,138\n110,6,0,108\n111,7,1,131\n"
+        )
+
+    @pytest.mark.parametrize(
+        "fmt, marker",
+        [
+            ("json", '"verified": false'),
+            ("csv", "000,0,1,"),
+            ("text", "MISMATCH against the stored array"),
+        ],
+    )
+    def test_wrong_bit_is_a_mismatch(self, alternating_bits_file, monkeypatch, capsys, fmt, marker):
+        # the lookup flips its data qubit once more, so every address reads the wrong bit
+        lookup_gates = qbs.qram.lookup_gates
+
+        def flipped(data):
+            yield from lookup_gates(data)
+            yield (), data.address_width
+
+        monkeypatch.setattr("qbs.qram.lookup_gates", flipped)
+        code = main(["qram-test", alternating_bits_file, "--seed", "5", "--format", fmt])
+        assert code == 1
+        assert marker in capsys.readouterr().out
 
     def test_missing_file(self, capsys):
         assert main(["qram-test", "/nope/missing.json"]) == 2
@@ -207,6 +279,36 @@ class TestCounterTest:
         out = capsys.readouterr().out
         assert code == 0
         assert "256/256 correct" in out
+
+    @pytest.mark.parametrize(
+        "fmt, expected",
+        [
+            (
+                "json",
+                '{"command": "counter-test", "version": "0.1.0", "seed": 1, "exhaustive": true, '
+                '"p": 8, "q": 4, "total": 256, "correct": 256, "verified": true}\n',
+            ),
+            (
+                "csv",
+                "# command=counter-test\n# version=0.1.0\n# seed=1\n"
+                "p,q,total,correct,verified\n8,4,256,256,True\n",
+            ),
+        ],
+    )
+    def test_exhaustive_formats(self, capsys, fmt, expected):
+        code = main(["counter-test", "--exhaustive", "-p", "8", "--seed", "1", "--format", fmt])
+        assert code == 0
+        assert capsys.readouterr().out == expected
+
+    def test_exhaustive_lists_first_failures(self, monkeypatch, capsys):
+        monkeypatch.setattr("qbs.counter.build_counter", _corrupted_counter)
+        code = main(["counter-test", "--exhaustive", "-p", "4", "--seed", "1"])
+        assert code == 1
+        assert capsys.readouterr().out == (
+            "counter-test  version=0.1.0  seed=1  p=4  q=3\n"
+            "2/16 correct\n"
+            "first failures: 0001, 0010, 0011, 0100, 0101\n"
+        )
 
     def test_csv_format(self, capsys):
         code = main(["counter-test", "00011111", "--format", "csv", "--seed", "2"])
@@ -338,6 +440,13 @@ class TestAssess:
         assert "point estimate" in out
         assert "█" in out
 
+    def test_text_histogram_bins_many_estimates(self, flag_table_file, tmp_path, capsys):
+        query = tmp_path / "sum.json"
+        query.write_text(json.dumps({"aggregate": "SUM", "target_column": "id"}))
+        args = ["assess", flag_table_file, str(query), "-n", "8", "-B", "40"]
+        assert main(args + ["--mode", "oracle", "--seed", "3"]) == 0
+        assert capsys.readouterr().out == BINNED_TEXT
+
     @pytest.mark.parametrize("n", ["8", "16", "64"])
     def test_parallel_mode_matches_sequential(
         self, flag_table_file, count_query_file, n, capsys
@@ -411,17 +520,8 @@ class TestSelfcheck:
         assert capsys.readouterr().out == first
 
     def test_corrupted_counter_is_caught(self, monkeypatch, capsys):
-        # ascending inner loop breaks carry propagation; the popcount check
-        # must notice (negative control for the whole suite)
-        def corrupted(spec: CounterSpec) -> Circuit:
-            circuit = Circuit(spec.num_qubits)
-            for i in range(spec.p - 1, -1, -1):
-                for j in range(spec.q):
-                    controls = (i,) + tuple(spec.p + k for k in range(j))
-                    circuit.append(controlled_x(controls, spec.p + j))
-            return circuit
-
-        monkeypatch.setattr("qbs.counter.build_counter", corrupted)
+        # the popcount check must notice (negative control for the whole suite)
+        monkeypatch.setattr("qbs.counter.build_counter", _corrupted_counter)
         assert main(["selfcheck"]) == 1
         out = capsys.readouterr().out
         assert "FAIL" in out
