@@ -63,6 +63,11 @@ class Condition:
         if canonical is None:
             raise ValueError(f"unknown operator {self.op!r}")
         object.__setattr__(self, "op", canonical)
+        if isinstance(self.value, bool) or not isinstance(self.value, (int, float, str)):
+            raise ValueError(
+                f"condition on {self.column!r} has unsupported value {self.value!r};"
+                " expected a number or a string"
+            )
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,9 @@ exhaustive sweep), ``assess`` (end-to-end query error assessment), and
 ``selfcheck`` (embedded invariant suite).
 
 Exit codes: 0 success, 1 verification failure, 2 usage or input error.
-Every output records the seed so runs can be reproduced exactly.
+The outputs of ``qram-test``, ``counter-test`` and ``assess`` record the
+seed so runs can be reproduced exactly; ``selfcheck`` uses fixed embedded
+seeds.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import io
 import json
 import sys
 from pathlib import Path
+from typing import Callable
 
 from . import __version__
 from .aqp import assess_with_replications, load_query, load_table
@@ -27,9 +30,9 @@ from .bootstrap import (
     ReplicationSet,
 )
 from .circuit import register_value
-from .counter import CounterSpec, measure_counter
+from .counter import CounterSpec, measure_counter, popcount_failures
 from .errors import QbsError
-from .qram import ValueDataArray, build_qsa, load_data_array
+from .qram import build_qsa, load_data_array
 from .rng import fresh_seed
 from .selfcheck import run_selfcheck
 from .sim import sample
@@ -67,10 +70,31 @@ def _csv_text(header: list[str], rows: list[list], comments: dict) -> str:
     return buffer.getvalue().rstrip("\n")
 
 
+def _report(
+    args: argparse.Namespace,
+    ok: bool,
+    payload: dict,
+    csv_table: Callable[[], tuple[list[str], list[list], dict]],
+    text_lines: Callable[[], list[str]],
+) -> int:
+    """Write one command's result in the requested format; return its exit code.
+
+    JSON is ``payload`` as is. ``csv_table`` returns ``(header, rows, comments)``
+    and ``text_lines`` the text lines; only the requested one is called, so a
+    JSON run never builds B CSV rows or a histogram.
+    """
+    if args.format == "json":
+        text = json.dumps(payload)
+    elif args.format == "csv":
+        text = _csv_text(*csv_table())
+    else:
+        text = "\n".join(text_lines())
+    _emit(text, args.out)
+    return 0 if ok else 1
+
+
 def cmd_qram_test(args: argparse.Namespace) -> int:
     data = load_data_array(args.data)
-    if isinstance(data, ValueDataArray):
-        raise ValueError("qram-test needs a bit array file ({\"bits\": [...]})")
     seed = args.seed if args.seed is not None else fresh_seed()
     qsa = build_qsa(data)
     counts = sample(qsa, args.shots, seed)
@@ -94,51 +118,39 @@ def cmd_qram_test(args: argparse.Namespace) -> int:
             }
         )
     states.sort(key=lambda s: (s["address_decimal"], s["data_bit"]))
+    payload = {
+        "command": "qram-test",
+        "version": __version__,
+        "seed": seed,
+        "shots": args.shots,
+        "address_width": a,
+        "states": states,
+        "verified": verified,
+    }
 
-    if args.format == "json":
-        _emit(
-            json.dumps(
-                {
-                    "command": "qram-test",
-                    "version": __version__,
-                    "seed": seed,
-                    "shots": args.shots,
-                    "address_width": a,
-                    "states": states,
-                    "verified": verified,
-                }
-            ),
-            args.out,
+    def csv_table():
+        return (
+            ["address_binary", "address_decimal", "data_bit", "count"],
+            [[s["address_binary"], s["address_decimal"], s["data_bit"], s["count"]] for s in states],
+            {"command": "qram-test", "version": __version__, "seed": seed, "shots": args.shots},
         )
-    elif args.format == "csv":
-        _emit(
-            _csv_text(
-                ["address_binary", "address_decimal", "data_bit", "count"],
-                [[s["address_binary"], s["address_decimal"], s["data_bit"], s["count"]] for s in states],
-                {"command": "qram-test", "version": __version__, "seed": seed, "shots": args.shots},
-            ),
-            args.out,
-        )
-    else:
-        lines = [
+
+    def text_lines():
+        return [
             f"qram-test  version={__version__}  seed={seed}  shots={args.shots}",
             f"{'address':>8}  {'decimal':>7}  {'data':>4}  {'count':>5}",
-        ]
-        for s in states:
-            lines.append(
+            *(
                 f"{s['address_binary']:>8}  {s['address_decimal']:>7}  "
                 f"{s['data_bit']:>4}  {s['count']:>5}"
-            )
-        lines.append("")
-        lines.extend(
-            _bars([(f"{s['address_binary']} d={s['data_bit']}", s["count"]) for s in states])
-        )
-        lines.append("")
-        lines.append(
-            "data bits match the stored array" if verified else "MISMATCH against the stored array"
-        )
-        _emit("\n".join(lines), args.out)
-    return 0 if verified else 1
+                for s in states
+            ),
+            "",
+            *_bars([(f"{s['address_binary']} d={s['data_bit']}", s["count"]) for s in states]),
+            "",
+            "data bits match the stored array" if verified else "MISMATCH against the stored array",
+        ]
+
+    return _report(args, verified, payload, csv_table, text_lines)
 
 
 def cmd_counter_test(args: argparse.Namespace) -> int:
@@ -148,51 +160,41 @@ def cmd_counter_test(args: argparse.Namespace) -> int:
         spec = CounterSpec.for_controls(p)
         if p > 10:
             raise ValueError("exhaustive mode supports p <= 10")
-        correct = 0
-        failures = []
-        for pattern in range(1 << p):
-            _, value = measure_counter(spec, pattern, seed)
-            if value == bin(pattern).count("1"):
-                correct += 1
-            elif len(failures) < 5:
-                failures.append(format(pattern, f"0{p}b"))
+        failures = popcount_failures(spec)
         total = 1 << p
-        verified = correct == total
-        if args.format == "json":
-            _emit(
-                json.dumps(
-                    {
-                        "command": "counter-test",
-                        "version": __version__,
-                        "seed": seed,
-                        "exhaustive": True,
-                        "p": p,
-                        "q": spec.q,
-                        "total": total,
-                        "correct": correct,
-                        "verified": verified,
-                    }
-                ),
-                args.out,
+        correct = total - len(failures)
+        verified = not failures
+        payload = {
+            "command": "counter-test",
+            "version": __version__,
+            "seed": seed,
+            "exhaustive": True,
+            "p": p,
+            "q": spec.q,
+            "total": total,
+            "correct": correct,
+            "verified": verified,
+        }
+
+        def csv_table():
+            return (
+                ["p", "q", "total", "correct", "verified"],
+                [[p, spec.q, total, correct, verified]],
+                {"command": "counter-test", "version": __version__, "seed": seed},
             )
-        elif args.format == "csv":
-            _emit(
-                _csv_text(
-                    ["p", "q", "total", "correct", "verified"],
-                    [[p, spec.q, total, correct, verified]],
-                    {"command": "counter-test", "version": __version__, "seed": seed},
-                ),
-                args.out,
-            )
-        else:
+
+        def text_lines():
             lines = [
                 f"counter-test  version={__version__}  seed={seed}  p={p}  q={spec.q}",
                 f"{correct}/{total} correct",
             ]
             if failures:
-                lines.append("first failures: " + ", ".join(failures))
-            _emit("\n".join(lines), args.out)
-        return 0 if verified else 1
+                lines.append(
+                    "first failures: " + ", ".join(format(f, f"0{p}b") for f in failures[:5])
+                )
+            return lines
+
+        return _report(args, verified, payload, csv_table, text_lines)
 
     if args.controls is None:
         raise ValueError("pass a control bitstring or --exhaustive")
@@ -221,27 +223,24 @@ def cmd_counter_test(args: argparse.Namespace) -> int:
         "expected_popcount": expected,
         "verified": verified,
     }
-    if args.format == "json":
-        _emit(json.dumps(payload), args.out)
-    elif args.format == "csv":
-        _emit(
-            _csv_text(
-                ["field", "value"],
-                [[k, v] for k, v in payload.items() if k not in ("command", "version")],
-                {"command": "counter-test", "version": __version__},
-            ),
-            args.out,
+
+    def csv_table():
+        return (
+            ["field", "value"],
+            [[k, v] for k, v in payload.items() if k not in ("command", "version")],
+            {"command": "counter-test", "version": __version__},
         )
-    else:
-        lines = [
+
+    def text_lines():
+        return [
             f"counter-test  version={__version__}  seed={seed}  p={p}  q={spec.q}",
             f"full bitstring measured   {full}  (raw little-endian {full[::-1]})",
             f"control bits measured     {control_bits}  ({expected} ones)",
             f"counter bits measured     {counter_bits}  (binary of value {value})",
             "decoded value matches the popcount" if verified else "MISMATCH against the popcount",
         ]
-        _emit("\n".join(lines), args.out)
-    return 0 if verified else 1
+
+    return _report(args, verified, payload, csv_table, text_lines)
 
 
 def _estimate_histogram(replications: ReplicationSet, max_bars: int = 24) -> list[tuple[str, int]]:
@@ -269,26 +268,18 @@ def cmd_assess(args: argparse.Namespace) -> int:
     report, replications = assess_with_replications(
         table, query, n=args.n, B=args.reps, alpha=args.alpha, mode=mode, seed=seed
     )
-    if args.format == "json":
-        payload = {"command": "assess", "version": __version__}
-        payload.update(report.to_dict())
-        _emit(json.dumps(payload), args.out)
-    elif args.format == "csv":
-        comments = {"command": "assess", "version": __version__}
-        comments.update(report.to_dict())
-        comments["ci"] = f"{report.ci_lower}..{report.ci_upper}"
+    payload = {"command": "assess", "version": __version__}
+    payload.update(report.to_dict())
+
+    def csv_table():
+        comments = {**payload, "ci": f"{report.ci_lower}..{report.ci_upper}"}
         # .tolist() keeps Python's int/float formatting, not numpy scalar reprs
         pairs = zip(replications.raw_counts().tolist(), replications.estimates().tolist())
-        _emit(
-            _csv_text(
-                ["replication", "raw", "estimate"],
-                [[j, raw, estimate] for j, (raw, estimate) in enumerate(pairs)],
-                comments,
-            ),
-            args.out,
-        )
-    else:
-        lines = [
+        rows = [[j, raw, estimate] for j, (raw, estimate) in enumerate(pairs)]
+        return ["replication", "raw", "estimate"], rows, comments
+
+    def text_lines():
+        return [
             f"assess  version={__version__}  seed={seed}  mode={mode}",
             f"sample: n={report.n} of N={report.N}  (f={report.f:g})  B={report.B}",
             f"point estimate  {report.point_estimate:g}",
@@ -297,10 +288,10 @@ def cmd_assess(args: argparse.Namespace) -> int:
             f"({report.ci_lower:g}, {report.ci_upper:g})   [z={report.z:.4f}]",
             "",
             "replication estimates:",
+            *_bars(_estimate_histogram(replications)),
         ]
-        lines.extend(_bars(_estimate_histogram(replications)))
-        _emit("\n".join(lines), args.out)
-    return 0
+
+    return _report(args, True, payload, csv_table, text_lines)
 
 
 def cmd_selfcheck(args: argparse.Namespace) -> int:

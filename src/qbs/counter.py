@@ -10,7 +10,9 @@ so the inner loop must run downward.
 ``(controls, target)`` pairs: the builders wrap them into gates. The
 engines total by the circuits' net effect instead, the integer sum of the
 drawn values; the tests run the pairs on packed basis states
-(``sim.run_basis_bits``) as its check.
+(``sim.run_basis_bits``) as its check. ``popcount_failures`` sweeps every
+control pattern through the built counter; ``counter-test --exhaustive``
+and ``selfcheck`` both report from it.
 """
 
 from __future__ import annotations
@@ -102,6 +104,15 @@ def measure_counter(
     index = run_basis(build_counter(spec), control_pattern)
     counter = register_value(index, range(spec.p, spec.num_qubits))
     return bitstring_of(index, spec.num_qubits), counter
+
+
+def popcount_failures(spec: CounterSpec) -> list[int]:
+    """The control patterns, ascending, whose measured count is not their popcount."""
+    return [
+        pattern
+        for pattern in range(1 << spec.p)
+        if measure_counter(spec, pattern)[1] != bin(pattern).count("1")
+    ]
 
 
 def adder_gates(width: int) -> Iterator[tuple[tuple[int, ...], int]]:

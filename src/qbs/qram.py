@@ -65,25 +65,17 @@ class ValueDataArray:
         return _exponent_of_power_of_two(len(self.values), "value array")
 
 
-def load_data_array(path: str | Path) -> BitDataArray | ValueDataArray:
-    """Read a stored-data file: {"bits": [...]} or {"values": [...], "width": w}."""
+def load_data_array(path: str | Path) -> BitDataArray:
+    """Read a stored bit array file: {"bits": [...]}."""
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
     if not isinstance(payload, dict):
         raise ValueError(f"{path}: expected a JSON object")
-    for field in ("bits", "values"):
-        if field in payload and not isinstance(payload[field], list):
-            raise ValueError(f"{path}: field {field!r} must be a list")
-    if "bits" in payload:
-        return BitDataArray(tuple(payload["bits"]))
-    if "values" in payload:
-        if "width" not in payload:
-            raise ValueError(f"{path}: value arrays need a 'width' field")
-        width = payload["width"]
-        if not isinstance(width, int) or isinstance(width, bool):
-            raise ValueError(f"{path}: field 'width' must be an integer, got {width!r}")
-        return ValueDataArray(tuple(payload["values"]), width)
-    raise ValueError(f"{path}: expected a 'bits' or 'values' key")
+    if "bits" not in payload:
+        raise ValueError(f"{path}: expected a 'bits' key")
+    if not isinstance(payload["bits"], list):
+        raise ValueError(f"{path}: field 'bits' must be a list")
+    return BitDataArray(tuple(payload["bits"]))
 
 
 def _lookup_registers(data: ValueDataArray) -> dict[str, range]:

@@ -17,7 +17,7 @@ from .bootstrap import (
     replicate,
 )
 from .circuit import Circuit, controlled_x, register_value
-from .counter import CounterSpec, build_ripple_adder, measure_counter
+from .counter import CounterSpec, build_ripple_adder, measure_counter, popcount_failures
 from .qram import BitDataArray, build_bit_qram
 from .rng import make_rng
 from .sim import apply_gate, run_basis
@@ -90,15 +90,11 @@ def check_counter_popcount() -> tuple[str, bool, str]:
     checked = 0
     for p in range(1, 9):
         spec = CounterSpec.for_controls(p)
-        for pattern in range(1 << p):
-            _, value = measure_counter(spec, pattern, seed=_SUITE_SEED)
-            if value != bin(pattern).count("1"):
-                return (
-                    "counter popcount",
-                    False,
-                    f"pattern {pattern:0{p}b} decoded to {value}",
-                )
-            checked += 1
+        failures = popcount_failures(spec)
+        if failures:
+            _, value = measure_counter(spec, failures[0])
+            return "counter popcount", False, f"pattern {failures[0]:0{p}b} decoded to {value}"
+        checked += 1 << p
     return "counter popcount", True, f"{checked} control patterns over p=1..8"
 
 

@@ -223,7 +223,7 @@ class TestQramTest:
         path = tmp_path / "values.json"
         path.write_text(json.dumps({"values": [1, 2], "width": [2]}))
         assert main(["qram-test", str(path)]) == 2
-        assert "'width' must be an integer" in capsys.readouterr().err
+        assert "expected a 'bits' key" in capsys.readouterr().err
 
     def test_out_file(self, alternating_bits_file, tmp_path):
         target = tmp_path / "report.json"
@@ -468,12 +468,25 @@ class TestAssess:
         assert main(args + ["--mode", "parallel", "--seed", "1"]) == 2
         assert "COUNT" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("conditions", [["flag"], 5], ids=["string-entry", "number"])
-    def test_malformed_conditions_rejected(self, flag_table_file, tmp_path, capsys, conditions):
+    @pytest.mark.parametrize(
+        "conditions, message",
+        [
+            (["flag"], "query field 'conditions"),
+            (5, "query field 'conditions"),
+            ([{"column": "flag", "op": "<", "value": None}], "unsupported value None"),
+            ([{"column": "flag", "op": ">=", "value": [1]}], "unsupported value [1]"),
+            ([{"column": "flag", "op": "=", "value": None}], "unsupported value None"),
+            ([{"column": "flag", "op": "=", "value": True}], "unsupported value True"),
+        ],
+        ids=["string-entry", "number", "null-less", "list-at-least", "null-equals", "bool-equals"],
+    )
+    def test_malformed_conditions_rejected(
+        self, flag_table_file, tmp_path, capsys, conditions, message
+    ):
         query = tmp_path / "query.json"
         query.write_text(json.dumps({"aggregate": "COUNT", "conditions": conditions}))
         assert main(["assess", flag_table_file, str(query), "-n", "4", "-B", "8"]) == 2
-        assert "query field 'conditions" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
     def test_non_list_table_row_rejected(self, count_query_file, tmp_path, capsys):
         table = tmp_path / "table.json"

@@ -185,26 +185,6 @@ class TestDataFiles:
         assert isinstance(data, BitDataArray)
         assert data.bits == (0, 1, 1, 0)
 
-    def test_values_file(self, tmp_path):
-        path = tmp_path / "values.json"
-        path.write_text(json.dumps({"values": [3, 1], "width": 2}))
-        data = load_data_array(path)
-        assert isinstance(data, ValueDataArray)
-        assert data.values == (3, 1) and data.width == 2
-
-    def test_values_need_width(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"values": [3, 1]}))
-        with pytest.raises(ValueError, match="width"):
-            load_data_array(path)
-
-    @pytest.mark.parametrize("width", [True, 2.7, "2"])
-    def test_width_must_be_an_integer(self, tmp_path, width):
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"values": [3, 1], "width": width}))
-        with pytest.raises(ValueError, match="'width' must be an integer"):
-            load_data_array(path)
-
     def test_unknown_shape_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"cells": [1]}))
