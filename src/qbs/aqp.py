@@ -96,6 +96,10 @@ def parse_query(payload: dict) -> QuerySpec:
     raw_conditions = payload.get("conditions", [])
     if not isinstance(raw_conditions, list) or not all(isinstance(c, dict) for c in raw_conditions):
         raise ValueError("query field 'conditions' must be a list of objects")
+    for i, c in enumerate(raw_conditions):
+        for field in ("column", "op", "value"):
+            if field not in c:
+                raise ValueError(f"query condition {i} lacks field {field!r}")
     conditions = tuple(
         Condition(str(c["column"]), str(c["op"]), c["value"]) for c in raw_conditions
     )
@@ -214,19 +218,15 @@ def _load_json_table(path: Path) -> TableData:
     return TableData(columns, tuple(rows))
 
 
-def load_table(path: str | Path, format: str | None = None) -> TableData:
-    """Load a relation from CSV (header row) or JSON ({"columns", "rows"}).
+def load_table(path: str | Path) -> TableData:
+    """Load a relation from JSON ({"columns", "rows"}) or CSV (header row).
 
-    ``format`` is "csv" or "json"; when omitted it follows the suffix.
+    A ``.json`` suffix, in any case, selects JSON; any other path is CSV.
     """
     path = Path(path)
-    if format is None:
-        format = "json" if path.suffix.lower() == ".json" else "csv"
-    if format == "csv":
-        return _load_csv(path)
-    if format == "json":
+    if path.suffix.lower() == ".json":
         return _load_json_table(path)
-    raise ValueError(f"unknown table format {format!r}")
+    return _load_csv(path)
 
 
 @dataclass(frozen=True)

@@ -6,9 +6,9 @@ exhaustive sweep), ``assess`` (end-to-end query error assessment), and
 ``selfcheck`` (embedded invariant suite).
 
 Exit codes: 0 success, 1 verification failure, 2 usage or input error.
-The outputs of ``qram-test``, ``counter-test`` and ``assess`` record the
-seed so runs can be reproduced exactly; ``selfcheck`` uses fixed embedded
-seeds.
+The outputs of ``qram-test`` and ``assess`` record the seed so runs can be
+reproduced exactly; ``counter-test`` measures basis inputs, which needs no
+seed, and ``selfcheck`` uses fixed embedded seeds.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from .counter import CounterSpec, measure_counter, popcount_failures
 from .errors import QbsError
 from .qram import build_qsa, load_data_array
 from .rng import fresh_seed
-from .selfcheck import run_selfcheck
 from .sim import sample
 
 _CLI_MODES = {
@@ -132,7 +131,7 @@ def cmd_qram_test(args: argparse.Namespace) -> int:
         return (
             ["address_binary", "address_decimal", "data_bit", "count"],
             [[s["address_binary"], s["address_decimal"], s["data_bit"], s["count"]] for s in states],
-            {"command": "qram-test", "version": __version__, "seed": seed, "shots": args.shots},
+            {k: payload[k] for k in ("command", "version", "seed", "shots", "verified")},
         )
 
     def text_lines():
@@ -154,9 +153,8 @@ def cmd_qram_test(args: argparse.Namespace) -> int:
 
 
 def cmd_counter_test(args: argparse.Namespace) -> int:
-    seed = args.seed if args.seed is not None else fresh_seed()
-    if args.exhaustive:
-        p = args.p
+    if args.exhaustive is not None:
+        p = args.exhaustive
         spec = CounterSpec.for_controls(p)
         if p > 10:
             raise ValueError("exhaustive mode supports p <= 10")
@@ -167,7 +165,6 @@ def cmd_counter_test(args: argparse.Namespace) -> int:
         payload = {
             "command": "counter-test",
             "version": __version__,
-            "seed": seed,
             "exhaustive": True,
             "p": p,
             "q": spec.q,
@@ -180,12 +177,12 @@ def cmd_counter_test(args: argparse.Namespace) -> int:
             return (
                 ["p", "q", "total", "correct", "verified"],
                 [[p, spec.q, total, correct, verified]],
-                {"command": "counter-test", "version": __version__, "seed": seed},
+                {"command": "counter-test", "version": __version__},
             )
 
         def text_lines():
             lines = [
-                f"counter-test  version={__version__}  seed={seed}  p={p}  q={spec.q}",
+                f"counter-test  version={__version__}  p={p}  q={spec.q}",
                 f"{correct}/{total} correct",
             ]
             if failures:
@@ -196,15 +193,13 @@ def cmd_counter_test(args: argparse.Namespace) -> int:
 
         return _report(args, verified, payload, csv_table, text_lines)
 
-    if args.controls is None:
-        raise ValueError("pass a control bitstring or --exhaustive")
     bits = args.controls
     if set(bits) - {"0", "1"}:
         raise ValueError(f"control bitstring must be 0/1, got {bits!r}")
     p = len(bits)
     spec = CounterSpec.for_controls(p)
     pattern = int(bits, 2)
-    full, value = measure_counter(spec, pattern, seed)
+    full, value = measure_counter(spec, pattern)
     expected = bin(pattern).count("1")
     verified = value == expected
     control_bits = format(register_value(int(full, 2), range(0, p)), f"0{p}b")
@@ -212,7 +207,6 @@ def cmd_counter_test(args: argparse.Namespace) -> int:
     payload = {
         "command": "counter-test",
         "version": __version__,
-        "seed": seed,
         "p": p,
         "q": spec.q,
         "full_bitstring": full,
@@ -233,7 +227,7 @@ def cmd_counter_test(args: argparse.Namespace) -> int:
 
     def text_lines():
         return [
-            f"counter-test  version={__version__}  seed={seed}  p={p}  q={spec.q}",
+            f"counter-test  version={__version__}  p={p}  q={spec.q}",
             f"full bitstring measured   {full}  (raw little-endian {full[::-1]})",
             f"control bits measured     {control_bits}  ({expected} ones)",
             f"counter bits measured     {counter_bits}  (binary of value {value})",
@@ -261,7 +255,7 @@ def _estimate_histogram(replications: ReplicationSet, max_bars: int = 24) -> lis
 
 
 def cmd_assess(args: argparse.Namespace) -> int:
-    table = load_table(args.table, args.table_format)
+    table = load_table(args.table)
     query = load_query(args.query)
     seed = args.seed if args.seed is not None else fresh_seed()
     mode = _CLI_MODES[args.mode]
@@ -295,6 +289,8 @@ def cmd_assess(args: argparse.Namespace) -> int:
 
 
 def cmd_selfcheck(args: argparse.Namespace) -> int:
+    from .selfcheck import run_selfcheck  # here, as only selfcheck needs scipy
+
     lines = [f"selfcheck  version={__version__}  (fixed embedded seeds)"]
     ok = run_selfcheck(lines.append)
     _emit("\n".join(lines), args.out)
@@ -310,35 +306,37 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"qbs {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--seed", type=int, default=None, help="64-bit master seed (default: entropy)")
+    def output(p: argparse.ArgumentParser) -> None:
         p.add_argument("--format", choices=("json", "csv", "text"), default="text")
         p.add_argument("--out", default=None, help="write output to this path instead of stdout")
+
+    def seeded(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--seed", type=int, default=None, help="64-bit master seed (default: entropy)")
+        output(p)
 
     p_qram = sub.add_parser("qram-test", help="run the resampler over a stored bit array")
     p_qram.add_argument("data", help="JSON file: {\"bits\": [0, 1, ...]}")
     p_qram.add_argument("--shots", type=int, default=1024)
-    common(p_qram)
+    seeded(p_qram)
     p_qram.set_defaults(func=cmd_qram_test)
 
     p_counter = sub.add_parser("counter-test", help="run the popcount counter circuit")
-    p_counter.add_argument(
-        "controls", nargs="?", default=None, help="control bits, most significant first"
+    controls = p_counter.add_mutually_exclusive_group(required=True)
+    controls.add_argument("controls", nargs="?", help="control bits, most significant first")
+    controls.add_argument(
+        "--exhaustive", type=int, metavar="P", help="sweep all 2^P patterns of P control qubits"
     )
-    p_counter.add_argument("--exhaustive", action="store_true", help="sweep all 2^p patterns")
-    p_counter.add_argument("-p", type=int, default=8, help="control qubits for --exhaustive")
-    common(p_counter)
+    output(p_counter)
     p_counter.set_defaults(func=cmd_counter_test)
 
     p_assess = sub.add_parser("assess", help="bootstrap error assessment for a query")
-    p_assess.add_argument("table", help="CSV (header row) or JSON table file")
+    p_assess.add_argument("table", help="table file: JSON if it ends in .json, else CSV")
     p_assess.add_argument("query", help="JSON query file")
     p_assess.add_argument("-n", type=int, required=True, help="sample size")
     p_assess.add_argument("-B", "--reps", type=int, default=1000, help="bootstrap replications")
     p_assess.add_argument("--alpha", type=float, default=0.05)
     p_assess.add_argument("--mode", choices=sorted(_CLI_MODES), default="sequential")
-    p_assess.add_argument("--table-format", choices=("csv", "json"), default=None)
-    common(p_assess)
+    seeded(p_assess)
     p_assess.set_defaults(func=cmd_assess)
 
     p_check = sub.add_parser("selfcheck", help="run the embedded invariant suite")

@@ -29,7 +29,7 @@ import numpy as np
 
 from .circuit import Circuit, GateKind, GateOp, bitstring_of
 from .errors import CapacityError, QbsError
-from .rng import fresh_seed, make_rng
+from .rng import make_rng
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -172,16 +172,14 @@ def outcome_probabilities(state: StateVector) -> np.ndarray:
     return probs / probs.sum()
 
 
-def sample(circuit: Circuit, shots: int, seed: int | None = None) -> CountsTable:
+def sample(circuit: Circuit, shots: int, seed: int) -> CountsTable:
     """Measure ``circuit`` for ``shots`` independent shots.
 
-    Deterministic for a fixed seed; with ``seed=None`` a fresh entropy seed
-    is drawn.
+    The counts depend only on the circuit, ``shots`` and ``seed``; a caller
+    that wants an entropy seed draws it with ``rng.fresh_seed`` and records it.
     """
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
-    if seed is None:
-        seed = fresh_seed()
     state = simulate(circuit)
     rng = make_rng(seed)
     per_state = rng.multinomial(shots, outcome_probabilities(state))

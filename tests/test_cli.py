@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -177,7 +181,7 @@ class TestQramTest:
         out = capsys.readouterr().out
         assert code == 0
         assert out == (
-            "# command=qram-test\n# version=0.1.0\n# seed=5\n# shots=1024\n"
+            "# command=qram-test\n# version=0.1.0\n# seed=5\n# shots=1024\n# verified=True\n"
             "address_binary,address_decimal,data_bit,count\n"
             "000,0,0,140\n001,1,1,118\n010,2,0,121\n011,3,1,129\n"
             "100,4,0,139\n101,5,1,138\n110,6,0,108\n111,7,1,131\n"
@@ -202,7 +206,10 @@ class TestQramTest:
         monkeypatch.setattr("qbs.qram.lookup_gates", flipped)
         code = main(["qram-test", alternating_bits_file, "--seed", "5", "--format", fmt])
         assert code == 1
-        assert marker in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert marker in out
+        # the CSV's rows show the wrong bit; its comments carry the verdict
+        assert fmt != "csv" or "# shots=1024\n# verified=False\n" in out
 
     def test_missing_file(self, capsys):
         assert main(["qram-test", "/nope/missing.json"]) == 2
@@ -252,7 +259,7 @@ class TestQramTest:
 
 class TestCounterTest:
     def test_five_ones(self, capsys):
-        code = main(["counter-test", "00011111", "--seed", "2"])
+        code = main(["counter-test", "00011111"])
         out = capsys.readouterr().out
         assert code == 0
         assert "010100011111" in out
@@ -260,14 +267,15 @@ class TestCounterTest:
         assert "value 5" in out
 
     def test_all_zeros(self, capsys):
-        code = main(["counter-test", "00000000", "--format", "json", "--seed", "2"])
+        code = main(["counter-test", "00000000", "--format", "json"])
         payload = json.loads(capsys.readouterr().out)
         assert code == 0
         assert payload["decoded_value"] == 0
 
     def test_json_fields(self, capsys):
-        main(["counter-test", "00011111", "--format", "json", "--seed", "2"])
+        main(["counter-test", "00011111", "--format", "json"])
         payload = json.loads(capsys.readouterr().out)
+        assert "seed" not in payload
         assert payload["full_bitstring"] == "010100011111"
         assert payload["full_bitstring_little_endian"] == "111110001010"
         assert payload["control_bits"] == "00011111"
@@ -275,7 +283,7 @@ class TestCounterTest:
         assert payload["verified"] is True
 
     def test_exhaustive_eight_controls(self, capsys):
-        code = main(["counter-test", "--exhaustive", "-p", "8", "--seed", "1"])
+        code = main(["counter-test", "--exhaustive", "8"])
         out = capsys.readouterr().out
         assert code == 0
         assert "256/256 correct" in out
@@ -285,46 +293,66 @@ class TestCounterTest:
         [
             (
                 "json",
-                '{"command": "counter-test", "version": "0.1.0", "seed": 1, "exhaustive": true, '
+                '{"command": "counter-test", "version": "0.1.0", "exhaustive": true, '
                 '"p": 8, "q": 4, "total": 256, "correct": 256, "verified": true}\n',
             ),
             (
                 "csv",
-                "# command=counter-test\n# version=0.1.0\n# seed=1\n"
+                "# command=counter-test\n# version=0.1.0\n"
                 "p,q,total,correct,verified\n8,4,256,256,True\n",
             ),
         ],
     )
     def test_exhaustive_formats(self, capsys, fmt, expected):
-        code = main(["counter-test", "--exhaustive", "-p", "8", "--seed", "1", "--format", fmt])
+        code = main(["counter-test", "--exhaustive", "8", "--format", fmt])
         assert code == 0
         assert capsys.readouterr().out == expected
 
     def test_exhaustive_lists_first_failures(self, monkeypatch, capsys):
         monkeypatch.setattr("qbs.counter.build_counter", _corrupted_counter)
-        code = main(["counter-test", "--exhaustive", "-p", "4", "--seed", "1"])
+        code = main(["counter-test", "--exhaustive", "4"])
         assert code == 1
         assert capsys.readouterr().out == (
-            "counter-test  version=0.1.0  seed=1  p=4  q=3\n"
+            "counter-test  version=0.1.0  p=4  q=3\n"
             "2/16 correct\n"
             "first failures: 0001, 0010, 0011, 0100, 0101\n"
         )
 
     def test_csv_format(self, capsys):
-        code = main(["counter-test", "00011111", "--format", "csv", "--seed", "2"])
+        code = main(["counter-test", "00011111", "--format", "csv"])
         out = capsys.readouterr().out
         assert code == 0
         assert "010100011111" in out
+        assert "seed" not in out
         assert "\r" not in out
 
     def test_invalid_bitstring(self, capsys):
         assert main(["counter-test", "01a1"]) == 2
 
     def test_no_input_is_usage_error(self, capsys):
-        assert main(["counter-test"]) == 2
+        with pytest.raises(SystemExit) as exit_info:
+            main(["counter-test"])
+        assert exit_info.value.code == 2
+        assert "one of the arguments controls --exhaustive is required" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["0101", "--exhaustive", "2"], "not allowed with argument"),
+            (["--exhaustive"], "expected one argument"),
+            (["0101", "--seed", "1"], "unrecognized arguments: --seed 1"),
+            (["0101", "-p", "9"], "unrecognized arguments: -p 9"),
+        ],
+        ids=["both-modes", "exhaustive-without-p", "seed", "p"],
+    )
+    def test_argument_usage_errors(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["counter-test", *argv])
+        assert exit_info.value.code == 2
+        assert message in capsys.readouterr().err
 
     def test_exhaustive_p_capped(self, capsys):
-        assert main(["counter-test", "--exhaustive", "-p", "11"]) == 2
+        assert main(["counter-test", "--exhaustive", "11"]) == 2
 
 
 class TestAssess:
@@ -477,8 +505,24 @@ class TestAssess:
             ([{"column": "flag", "op": ">=", "value": [1]}], "unsupported value [1]"),
             ([{"column": "flag", "op": "=", "value": None}], "unsupported value None"),
             ([{"column": "flag", "op": "=", "value": True}], "unsupported value True"),
+            ([{"op": "=", "value": 1}], "query condition 0 lacks field 'column'"),
+            ([{"column": "flag", "value": 1}], "query condition 0 lacks field 'op'"),
+            (
+                [{"column": "flag", "op": "=", "value": 1}, {"column": "flag", "op": "="}],
+                "query condition 1 lacks field 'value'",
+            ),
         ],
-        ids=["string-entry", "number", "null-less", "list-at-least", "null-equals", "bool-equals"],
+        ids=[
+            "string-entry",
+            "number",
+            "null-less",
+            "list-at-least",
+            "null-equals",
+            "bool-equals",
+            "no-column",
+            "no-op",
+            "no-value",
+        ],
     )
     def test_malformed_conditions_rejected(
         self, flag_table_file, tmp_path, capsys, conditions, message
@@ -538,3 +582,13 @@ class TestSelfcheck:
         assert main(["selfcheck"]) == 1
         out = capsys.readouterr().out
         assert "FAIL" in out
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy serves only selfcheck, which imports it when it runs
+    probe = "import sys, qbs.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = {**os.environ, "PYTHONPATH": str(Path(qbs.__file__).parents[1])}
+    run = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
+    )
+    assert run.stdout == "[]\n"

@@ -42,13 +42,13 @@ class TestCounterSpec:
 class TestCounter:
     def test_five_ones_pattern(self):
         spec = CounterSpec.for_controls(8)
-        full, value = measure_counter(spec, 0b00011111, seed=0)
+        full, value = measure_counter(spec, 0b00011111)
         assert full == "010100011111"
         assert value == 5
 
     def test_all_zero_controls(self):
         spec = CounterSpec.for_controls(8)
-        _, value = measure_counter(spec, 0, seed=0)
+        _, value = measure_counter(spec, 0)
         assert value == 0
 
     @pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 6, 7, 8, 9, 10])
